@@ -869,7 +869,7 @@ impl Core {
             return None;
         }
         let pick = (self.directory.read_ticket() % followers.len() as u64) as usize;
-        let mut core = followers[pick].lock().expect("follower core");
+        let mut core = crate::replication::lock_core(&followers[pick]);
         // Followers ack durability and apply lazily: drain the pending tail
         // so the state served (and the bound check) reflect everything this
         // follower durably holds.
@@ -1409,6 +1409,10 @@ impl Core {
 
     pub(crate) fn isolate_shard_leader(&self, shard: ShardId) {
         self.with_shard_fault(shard, |_, r| r.partition_leader());
+    }
+
+    pub(crate) fn isolate_shard_follower(&self, shard: ShardId, follower: usize) {
+        self.with_shard_fault(shard, move |_, r| r.partition_follower(follower));
     }
 
     pub(crate) fn heal_shard_partition(&self, shard: ShardId) {
@@ -2441,8 +2445,16 @@ impl Cluster {
         self.core.isolate_shard_leader(shard);
     }
 
+    /// Fault injection: partitions `shard`'s leader away from one follower
+    /// only (a no-op for an unknown one). The rest of the fleet keeps the
+    /// quorum; the isolated follower is re-seeded by a resync once healed.
+    pub fn isolate_shard_follower(&mut self, shard: ShardId, follower: usize) {
+        self.core.isolate_shard_follower(shard, follower);
+    }
+
     /// Heals every partition on `shard`'s replication network (the inverse
-    /// of [`Cluster::isolate_shard_leader`]).
+    /// of [`Cluster::isolate_shard_leader`] and
+    /// [`Cluster::isolate_shard_follower`]).
     pub fn heal_shard_partition(&mut self, shard: ShardId) {
         self.core.heal_shard_partition(shard);
     }

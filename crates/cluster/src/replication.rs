@@ -61,9 +61,14 @@
 //! [`ReplicaSet::force_quorum`] rewinds a laggard's send cursor to its last
 //! acked position and re-ships the suffix until the quorum covers the
 //! target, giving up (bounded) only when fenced or when a partition makes
-//! progress impossible. A follower that falls behind the leader's log *base*
-//! (compaction passed it) is re-seeded from the current snapshot
-//! ([`ReplicaMsg::Resync`]).
+//! progress impossible.
+//!
+//! Compaction follows the fleet: the log keeps what the newest checkpoint
+//! does not cover *and* what a follower has not acked, so every batch ships
+//! as an `Append` and a healthy fleet is never re-seeded. Only a follower
+//! that misses a whole checkpoint window stops pinning the log (retention
+//! stays within two windows); it falls behind the log *base* and is
+//! re-seeded from the checkpoint chain ([`ReplicaMsg::Resync`]).
 //!
 //! Failover promotes the follower with the highest applied position
 //! ([`ReplicaSet::promote`]): only the log tail past that position is
@@ -77,7 +82,7 @@
 //! `Gateway::session_view`).
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dmps_floor::FloorArbiter;
 use dmps_simnet::{Delivery, HostId, Link, Network};
@@ -193,6 +198,14 @@ pub(crate) struct FollowerCore {
     /// failure, unrestorable resync); asks the leader to re-ship the suffix
     /// past `durable` from its healthy copy.
     needs_repair: bool,
+}
+
+/// Locks a follower core, tolerating poison: a reader that panicked holding
+/// the lock must not take the shard's worker down with it. Events replay
+/// one at a time with `applied` bumped after each, so the copy at worst sits
+/// behind its durable position, which reads and promotion already tolerate.
+pub(crate) fn lock_core(core: &Mutex<FollowerCore>) -> MutexGuard<'_, FollowerCore> {
+    core.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl FollowerCore {
@@ -463,6 +476,15 @@ pub(crate) struct ReplicaSet {
     quorum_committed: u64,
     /// Follower acks needed per position (quorum minus the leader itself).
     quorum_acks: usize,
+    /// The previous-checkpoint tip stragglers were last re-seeded against
+    /// (see [`ReplicaSet::release_log`]).
+    straggler_cutoff: u64,
+    /// Follower-ack advances so far: how [`ReplicaSet::force_quorum`] tells
+    /// a round that moved something from a stalled one.
+    ack_advances: u64,
+    /// Set when [`ReplicaSet::force_quorum`] gave up: the log tail past the
+    /// fleet never reached quorum and the next promotion discards it.
+    stranded: bool,
     /// This leader's epoch, bumped at every promotion and stamped on all
     /// outgoing traffic (and into released decisions).
     epoch: u64,
@@ -509,6 +531,9 @@ impl ReplicaSet {
             // append, so (N+1)/2 follower acks — always ≥ 1 for N ≥ 1, which
             // is what makes promotion lossless.
             quorum_acks: replicas.div_ceil(2),
+            straggler_cutoff: 0,
+            ack_advances: 0,
+            stranded: false,
             epoch: 1,
             fenced: false,
             metrics,
@@ -523,6 +548,28 @@ impl ReplicaSet {
     /// The shared follower cores, for the routing layer's read path.
     pub(crate) fn followers(&self) -> &[Arc<Mutex<FollowerCore>>] {
         &self.followers
+    }
+
+    /// Lets the shard's log go of everything both its newest checkpoint and
+    /// every follower still worth shipping to hold; runs inside both entry
+    /// points that fold acks in for the worker ([`ReplicaSet::absorb_acks`],
+    /// [`ReplicaSet::force_quorum`]). A follower acked behind the *previous*
+    /// checkpoint's tip is a straggler: it stops pinning the log and, once
+    /// per checkpoint, has its send cursor rewound so the next
+    /// [`ReplicaSet::replicate`] re-seeds it by `Resync`.
+    fn release_log(&mut self, shard: &mut Shard) {
+        let cutoff = shard.prev_checkpoint_tip();
+        let checkpointed = cutoff > self.straggler_cutoff;
+        self.straggler_cutoff = cutoff;
+        let mut fleet_ack = u64::MAX;
+        for (&acked, sent) in self.acked.iter().zip(&mut self.sent) {
+            if acked >= cutoff {
+                fleet_ack = fleet_ack.min(acked);
+            } else if checkpointed {
+                *sent = (*sent).min(acked);
+            }
+        }
+        shard.retain_for_fleet(fleet_ack);
     }
 
     /// Highest log position covered by a write quorum. Replies for a batch
@@ -562,6 +609,17 @@ impl ReplicaSet {
         self.metrics.partitions.incr();
     }
 
+    /// Fault injection: partitions the leader away from follower `i` alone
+    /// until [`ReplicaSet::heal_partition`]; a no-op for an unknown index.
+    pub(crate) fn partition_follower(&mut self, follower: usize) {
+        if let Some(&host) = self.hosts.get(follower) {
+            self.net
+                .partition(&[self.leader], &[host], false)
+                .expect("replica hosts exist");
+            self.metrics.partitions.incr();
+        }
+    }
+
     /// Heals every partition on the replica network.
     pub(crate) fn heal_partition(&mut self) {
         self.net.heal();
@@ -576,7 +634,7 @@ impl ReplicaSet {
         let Some(core) = self.followers.get(follower) else {
             return false;
         };
-        let mut core = core.lock().expect("follower core");
+        let mut core = lock_core(core);
         match core.pending.last_mut() {
             Some((_, crc, _)) => {
                 *crc ^= 1;
@@ -603,7 +661,7 @@ impl ReplicaSet {
         let log = shard.log();
         for i in 0..self.hosts.len() {
             let (durable, repair) = {
-                let mut core = self.followers[i].lock().expect("follower core");
+                let mut core = lock_core(&self.followers[i]);
                 (core.durable(), core.take_repair())
             };
             if repair {
@@ -686,10 +744,17 @@ impl ReplicaSet {
         let _ = self.net.send(self.leader, self.hosts[follower], msg, size);
     }
 
+    /// Folds in whatever acks already landed, without waiting for any, and
+    /// lets the log go of what the fleet now holds.
+    pub(crate) fn absorb_acks(&mut self, shard: &mut Shard) {
+        self.pump();
+        self.release_log(shard);
+    }
+
     /// Drains the replication network: applies `Append`/`Resync` deliveries
     /// to follower cores (each answers with an `Ack`) and folds `Ack`s into
     /// the quorum bookkeeping. Cheap when nothing is in flight.
-    pub(crate) fn pump(&mut self) {
+    fn pump(&mut self) {
         while let Some(delivery) = self.net.next_delivery() {
             self.handle(delivery);
         }
@@ -709,6 +774,7 @@ impl ReplicaSet {
                 let i = delivery.from.index() - 1;
                 if acked > self.acked[i] {
                     self.acked[i] = acked;
+                    self.ack_advances += 1;
                     self.metrics.acks.incr();
                 }
             }
@@ -716,7 +782,7 @@ impl ReplicaSet {
         }
         let i = delivery.to.index() - 1;
         let (durable, epoch) = {
-            let mut core = self.followers[i].lock().expect("follower core");
+            let mut core = lock_core(&self.followers[i]);
             match delivery.payload {
                 ReplicaMsg::Append {
                     epoch,
@@ -753,18 +819,17 @@ impl ReplicaSet {
     }
 
     fn recompute_quorum(&mut self) {
-        if self.acked.is_empty() {
-            return;
-        }
         // The quorum-committed position is the quorum_acks-th highest
         // follower ack: that many followers (plus the leader) hold the
-        // prefix up to it.
-        let mut sorted = self.acked.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let covered = sorted[self.quorum_acks - 1];
-        if covered > self.quorum_committed {
-            self.quorum_committed = covered;
-        }
+        // prefix up to it. Counted, not sorted: a fleet is a handful.
+        let covered = self
+            .acked
+            .iter()
+            .filter(|&&ack| self.acked.iter().filter(|&&a| a >= ack).count() >= self.quorum_acks)
+            .max()
+            .copied()
+            .unwrap_or(0);
+        self.quorum_committed = self.quorum_committed.max(covered);
     }
 
     /// Drives the quorum to `target`, retransmitting lost suffixes. The
@@ -776,10 +841,18 @@ impl ReplicaSet {
     /// retransmission rounds moved nothing (the fleet is partitioned away).
     /// The worker then answers the still-parked batches `ShardDown` and
     /// demotes the shard: the self-demotion half of fencing.
-    pub(crate) fn force_quorum(&mut self, shard: &Shard, target: u64) -> bool {
-        if self.followers.is_empty() {
-            return true;
+    pub(crate) fn force_quorum(&mut self, shard: &mut Shard, target: u64) -> bool {
+        let reached = self.followers.is_empty() || self.drive_quorum(shard, target);
+        if reached {
+            self.release_log(shard);
+        } else {
+            self.stranded = true;
         }
+        reached
+    }
+
+    /// The retransmission loop behind [`ReplicaSet::force_quorum`].
+    fn drive_quorum(&mut self, shard: &Shard, target: u64) -> bool {
         let mut stalls: u32 = 0;
         loop {
             self.pump();
@@ -789,7 +862,7 @@ impl ReplicaSet {
             if self.quorum_committed >= target {
                 return true;
             }
-            let progress_mark = (self.quorum_committed, self.acked.clone());
+            let progress_mark = self.ack_advances;
             // Anything sent but unacked may have been lost: rewind the
             // laggards' cursors to their acked positions and re-ship.
             self.metrics.retransmits.incr();
@@ -806,9 +879,7 @@ impl ReplicaSet {
             if self.quorum_committed >= target {
                 return true;
             }
-            if (self.quorum_committed, &self.acked) == (progress_mark.0, &progress_mark.1)
-                && self.net.pending_count() == 0
-            {
+            if self.ack_advances == progress_mark && self.net.pending_count() == 0 {
                 stalls += 1;
                 if stalls >= STALL_BUDGET {
                     return false;
@@ -827,13 +898,13 @@ impl ReplicaSet {
     /// does and what this falls back to with no followers (or a follower
     /// stranded behind the log base).
     ///
-    /// When the crashed shard's own durable artifacts fail verification
-    /// (injected corruption), the quorum state is adopted wholesale instead
-    /// ([`Shard::repair_from`]): the untrusted snapshot chain and log are
-    /// discarded, a fresh checksummed base is cut, and the repair is counted
-    /// under `cluster.shard.N.fault.repairs`. A follower copy that fails its
-    /// own catch-up quarantines itself and the next-best copy is used — one
-    /// rotten replica never blocks failover.
+    /// When the shard's own durable artifacts fail verification (injected
+    /// corruption; counted under `cluster.shard.N.fault.repairs`) or it had
+    /// demoted itself mid-quorum-write, the quorum state is adopted
+    /// wholesale instead ([`Shard::repair_from`]): snapshot chain and log
+    /// are discarded and a fresh checksummed base is cut. A follower copy
+    /// that fails its own catch-up quarantines itself and the next-best
+    /// copy is used — one rotten replica never blocks failover.
     ///
     /// # Errors
     ///
@@ -856,13 +927,13 @@ impl ReplicaSet {
         // simply less caught-up; it stays usable and gets repaired later.
         let best = (0..self.followers.len())
             .max_by_key(|&i| {
-                let mut core = self.followers[i].lock().expect("follower core");
+                let mut core = lock_core(&self.followers[i]);
                 let _ = core.catch_up();
                 core.applied()
             })
             .expect("non-empty fleet");
         let (arbiter, session, frozen, from_seq) = {
-            let core = self.followers[best].lock().expect("follower core");
+            let core = lock_core(&self.followers[best]);
             (
                 core.arbiter.clone(),
                 core.session.clone(),
@@ -870,29 +941,30 @@ impl ReplicaSet {
                 core.applied(),
             )
         };
-        let result = if !durable_ok {
-            if from_seq < shard.log().base() {
-                // Local artifacts are untrusted and the fleet holds nothing
-                // recent enough to repair from: quarantine.
-                shard.verify_durable()
-            } else {
-                // Adopt the quorum state wholesale; the discarded leader
-                // tail past it was never quorum-committed, so no released
-                // decision loses its events.
-                shard.repair_from(arbiter, session, frozen, from_seq);
-                self.metrics.repairs.incr();
-                // The log was truncated to the adopted position: anything
-                // believed sent or acked past it no longer exists.
-                for i in 0..self.hosts.len() {
-                    self.sent[i] = self.sent[i].min(from_seq);
-                    self.acked[i] = self.acked[i].min(from_seq);
-                }
-                Ok(())
-            }
-        } else if from_seq < shard.log().base() {
-            // The whole fleet is stranded behind compaction (possible only
-            // when quorum was never forced, e.g. an idle shard): full replay.
+        // A self-demoted leader's tail past the fleet was never released:
+        // the promoted follower owns exactly what the fleet holds.
+        let discard_tail = std::mem::take(&mut self.stranded) && from_seq >= self.quorum_committed;
+        let result = if from_seq < shard.log().base() {
+            // The whole fleet is stranded behind compaction (quorum was
+            // never forced, e.g. an idle shard): full local replay — which
+            // quarantines when the local artifacts are corrupt.
             shard.recover()
+        } else if !durable_ok || discard_tail {
+            // Adopt the fleet's state wholesale; the leader tail past it
+            // never quorum-committed, so no released decision loses events.
+            shard.repair_from(arbiter, session, frozen, from_seq);
+            if durable_ok {
+                self.metrics.catch_up_lag.record(0);
+            } else {
+                self.metrics.repairs.incr();
+            }
+            // The log was truncated to the adopted position: anything
+            // believed sent or acked past it no longer exists.
+            for i in 0..self.hosts.len() {
+                self.sent[i] = self.sent[i].min(from_seq);
+                self.acked[i] = self.acked[i].min(from_seq);
+            }
+            Ok(())
         } else {
             let mut arbiter = arbiter;
             let mut session = session;
@@ -977,7 +1049,7 @@ mod tests {
         let (mut shard, mut set, telemetry) = fixture(2);
         commit_some(&mut shard, 8);
         set.replicate(&shard);
-        assert!(set.force_quorum(&shard, shard.log().next_seq()));
+        assert!(set.drive_quorum(&shard, shard.log().next_seq()));
 
         // A failover elsewhere bumps the fleet to a new epoch...
         shard.crash();
@@ -996,7 +1068,7 @@ mod tests {
             .collect();
         set.replicate(&shard);
         assert!(
-            !set.force_quorum(&shard, shard.log().next_seq()),
+            !set.drive_quorum(&shard, shard.log().next_seq()),
             "a fenced leader must fail to force quorum"
         );
         assert!(set.is_fenced());
@@ -1021,12 +1093,12 @@ mod tests {
         set.partition_leader();
         set.replicate(&shard);
         assert!(
-            !set.force_quorum(&shard, shard.log().next_seq()),
+            !set.drive_quorum(&shard, shard.log().next_seq()),
             "a fully partitioned leader must give up, not spin"
         );
         assert!(!set.is_fenced(), "partition is not fencing");
         set.heal_partition();
-        assert!(set.force_quorum(&shard, shard.log().next_seq()));
+        assert!(set.drive_quorum(&shard, shard.log().next_seq()));
     }
 
     #[test]
@@ -1034,7 +1106,7 @@ mod tests {
         let (mut shard, mut set, _telemetry) = fixture(2);
         commit_some(&mut shard, 8);
         set.replicate(&shard);
-        assert!(set.force_quorum(&shard, shard.log().next_seq()));
+        assert!(set.drive_quorum(&shard, shard.log().next_seq()));
         assert!(set.inject_follower_corruption(0));
 
         // The rotten copy quarantines at its next catch-up...
@@ -1046,7 +1118,7 @@ mod tests {
         }
         // ...and the next replicate pass re-ships the healthy suffix.
         set.replicate(&shard);
-        assert!(set.force_quorum(&shard, shard.log().next_seq()));
+        assert!(set.drive_quorum(&shard, shard.log().next_seq()));
         {
             let mut core = set.followers()[0].lock().unwrap();
             core.catch_up_for_read();
@@ -1059,7 +1131,7 @@ mod tests {
         let (mut shard, mut set, telemetry) = fixture(2);
         commit_some(&mut shard, 8);
         set.replicate(&shard);
-        assert!(set.force_quorum(&shard, shard.log().next_seq()));
+        assert!(set.drive_quorum(&shard, shard.log().next_seq()));
         let tip = shard.log().next_seq();
 
         shard.take_snapshot();
@@ -1084,7 +1156,7 @@ mod tests {
         let (mut shard, mut set, _telemetry) = fixture(2);
         commit_some(&mut shard, 8);
         set.replicate(&shard);
-        assert!(set.force_quorum(&shard, shard.log().next_seq()));
+        assert!(set.drive_quorum(&shard, shard.log().next_seq()));
         // More work the fleet never hears about (leader-only tail).
         commit_some(&mut shard, 4);
         let tip = shard.log().next_seq();

@@ -238,11 +238,7 @@ impl Wire for ShardEvent {
 /// the leader; recovery, followers and resync re-derive it from the events
 /// they hold and compare.
 pub(crate) fn segment_crc(events: &[ShardEvent]) -> u32 {
-    let mut w = dmps_wire::Writer::new();
-    for e in events {
-        e.encode(&mut w);
-    }
-    dmps_wire::crc32(w.finish().as_bytes())
+    dmps_wire::crc32_of_each(events)
 }
 
 /// A sealed log segment: the sequence number of its first event plus the
@@ -829,6 +825,13 @@ pub struct Shard {
     /// segment order. Written at seal time, pruned with compaction, verified
     /// on recovery and by follower catch-up.
     segment_crcs: VecDeque<(u64, u64, u32)>,
+    /// Log position the checkpoint *before* the newest one covered: a
+    /// follower acked behind it stops pinning the log.
+    prev_checkpoint_tip: u64,
+    /// Lowest position acked by a follower the log is still retained for;
+    /// `u64::MAX` when nothing pins the log (an unreplicated shard), so the
+    /// one rule — `min(checkpoint tip, fleet ack)` — compacts to the tip.
+    fleet_ack: u64,
     snapshot_every: u64,
     /// Byte-driven checkpoint cadence: checkpoint when this many event bytes
     /// committed since the last one (0 = fall back to the `snapshot_every`
@@ -903,6 +906,8 @@ impl Shard {
             deltas: Vec::new(),
             delta_crcs: Vec::new(),
             segment_crcs: VecDeque::new(),
+            prev_checkpoint_tip: 0,
+            fleet_ack: u64::MAX,
             snapshot_every,
             snapshot_every_bytes: 0,
             snapshot_chain: 0,
@@ -985,8 +990,23 @@ impl Shard {
             .map(|i| self.segment_crcs[i].2)
     }
 
-    /// Drops checksum records of segments compaction removed.
-    fn prune_segment_crcs(&mut self) {
+    /// Log position the newest checkpoint (base or delta) covers; 0 before
+    /// the first.
+    fn checkpoint_tip(&self) -> u64 {
+        self.deltas
+            .last()
+            .map(SnapshotDelta::applied_seq)
+            .or_else(|| self.snapshot.as_ref().map(ShardSnapshot::applied_seq))
+            .unwrap_or(0)
+    }
+
+    /// The one compaction rule: the log keeps what the newest checkpoint
+    /// does not cover, plus what a follower still worth shipping to has not
+    /// acked — `min(checkpoint tip, fleet ack)`. Checksum records of the
+    /// segments this drops go with them.
+    fn compact_log(&mut self) {
+        self.log
+            .compact_to(self.checkpoint_tip().min(self.fleet_ack));
         let base = self.log.base();
         while let Some((start, len, _)) = self.segment_crcs.front() {
             if start + len <= base {
@@ -995,6 +1015,18 @@ impl Shard {
                 break;
             }
         }
+    }
+
+    /// Log position the checkpoint before the newest one covered.
+    pub(crate) fn prev_checkpoint_tip(&self) -> u64 {
+        self.prev_checkpoint_tip
+    }
+
+    /// The fleet half of the compaction rule, fed by the replica set
+    /// whenever acks may have advanced (see the `fleet_ack` field).
+    pub(crate) fn retain_for_fleet(&mut self, fleet_ack: u64) {
+        self.fleet_ack = fleet_ack;
+        self.compact_log();
     }
 
     /// The latest snapshot, if one was taken.
@@ -1484,7 +1516,7 @@ impl Shard {
     }
 
     /// Takes a snapshot of the current state now and compacts the log up to
-    /// it.
+    /// it (or up to the slowest live follower's ack, if that is behind).
     pub fn take_snapshot(&mut self) -> &ShardSnapshot {
         // The whole capture happens with the worker thread stalled, so its
         // duration is the pause ingest observes — that is what gets recorded.
@@ -1502,14 +1534,14 @@ impl Shard {
             session: dmps_wire::to_string(&self.session),
             frozen: self.frozen.iter().copied().collect(),
         };
-        self.log.compact_to(snap.applied_seq());
-        self.prune_segment_crcs();
-        self.snapshot_crc = Some(dmps_wire::crc32(dmps_wire::to_string(&snap).as_bytes()));
+        self.prev_checkpoint_tip = self.checkpoint_tip();
+        self.snapshot_crc = Some(dmps_wire::crc32_of(&snap));
         self.snapshot = Some(snap);
         // A fresh full base obsoletes the delta chain and the dirty tracking
         // that fed it: everything is inside the base now.
         self.deltas.clear();
         self.delta_crcs.clear();
+        self.compact_log();
         self.dirty_floor.clear();
         self.dirty_sessions.clear();
         self.purged_sessions.clear();
@@ -1529,8 +1561,8 @@ impl Shard {
     /// Takes a differential checkpoint: only the arbiter groups and session
     /// logs touched since the last checkpoint (plus purge tombstones and the
     /// frozen set, which ships wholesale — it is tiny), chained on the
-    /// current full base. The log compacts up to it exactly as it does for a
-    /// full snapshot, so durability cost stays O(dirty), not O(shard).
+    /// current full base. The log compacts exactly as it does for a full
+    /// snapshot, so durability cost stays O(dirty), not O(shard).
     pub fn take_delta(&mut self) -> &SnapshotDelta {
         let pause = self.metrics.is_some().then(Instant::now);
         // Same flush rule as a full snapshot: the checkpoint must cover every
@@ -1541,12 +1573,7 @@ impl Shard {
             self.pending_session_dedup.clear();
         }
         let applied = self.log.next_seq();
-        let base_seq = self
-            .deltas
-            .last()
-            .map(SnapshotDelta::applied_seq)
-            .or_else(|| self.snapshot.as_ref().map(ShardSnapshot::applied_seq))
-            .unwrap_or(0);
+        let base_seq = self.checkpoint_tip();
         let delta = SnapshotDelta {
             arbiter: self.arbiter.export_delta(applied, &self.dirty_floor),
             sessions: self
@@ -1559,12 +1586,14 @@ impl Shard {
             frozen: self.frozen.iter().copied().collect(),
             base_seq,
         };
-        self.log.compact_to(applied);
-        self.prune_segment_crcs();
         self.dirty_floor.clear();
         self.dirty_sessions.clear();
         self.purged_sessions.clear();
         self.bytes_since_checkpoint = 0;
+        self.prev_checkpoint_tip = base_seq;
+        self.deltas.push(delta);
+        self.compact_log();
+        let delta = self.deltas.last().expect("just stored");
         if let (Some(metrics), Some(pause)) = (&self.metrics, pause) {
             let elapsed = pause.elapsed();
             metrics.snapshot_pause.record(saturating_nanos(elapsed));
@@ -1572,12 +1601,10 @@ impl Shard {
                 .snapshot_pause_us
                 .record(saturating_nanos(elapsed) / 1_000);
             metrics.delta_bytes.add(delta.size_bytes() as u64);
-            metrics.chain_len.record(self.deltas.len() as u64 + 1);
+            metrics.chain_len.record(self.deltas.len() as u64);
         }
-        self.delta_crcs
-            .push(dmps_wire::crc32(dmps_wire::to_string(&delta).as_bytes()));
-        self.deltas.push(delta);
-        self.deltas.last().expect("just stored")
+        self.delta_crcs.push(dmps_wire::crc32_of(delta));
+        delta
     }
 
     /// Crashes the primary: volatile arbiter and session state is lost; log,
@@ -1628,7 +1655,7 @@ impl Shard {
     /// Returns [`ClusterError::Corrupt`] naming the first failing artifact.
     pub fn verify_durable(&self) -> Result<()> {
         if let (Some(snap), Some(expected)) = (&self.snapshot, self.snapshot_crc) {
-            let actual = dmps_wire::crc32(dmps_wire::to_string(snap).as_bytes());
+            let actual = dmps_wire::crc32_of(snap);
             if actual != expected {
                 return Err(self.corrupt(format!(
                     "snapshot base checksum mismatch ({actual:08x} != {expected:08x})"
@@ -1637,7 +1664,7 @@ impl Shard {
         }
         for (i, delta) in self.deltas.iter().enumerate() {
             if let Some(&expected) = self.delta_crcs.get(i) {
-                let actual = dmps_wire::crc32(dmps_wire::to_string(delta).as_bytes());
+                let actual = dmps_wire::crc32_of(delta);
                 if actual != expected {
                     return Err(self.corrupt(format!(
                         "snapshot delta {i} checksum mismatch ({actual:08x} != {expected:08x})"
@@ -1697,8 +1724,7 @@ impl Shard {
                         cut -= 1;
                     }
                     snap.session.truncate(cut);
-                    self.snapshot_crc =
-                        Some(dmps_wire::crc32(dmps_wire::to_string(snap).as_bytes()));
+                    self.snapshot_crc = Some(dmps_wire::crc32_of(snap));
                     true
                 }
                 None => false,
@@ -1790,12 +1816,12 @@ impl Shard {
         }
     }
 
-    /// Rebuilds this shard from quorum-held state after its own durable
-    /// artifacts failed verification: adopts the arbiter/session/frozen
-    /// reconstruction of the most caught-up replica (which covers events up
-    /// to `applied`), discards the untrusted snapshot chain, checksums and
-    /// log wholesale, and immediately re-establishes a fresh checksummed
-    /// base from the adopted state so the next recovery verifies again.
+    /// Rebuilds this shard from quorum-held state — after its own durable
+    /// artifacts failed verification, or after it demoted itself with a
+    /// log tail (and perhaps checkpoints) the fleet never saw: adopts the
+    /// state of the most caught-up replica (events up to `applied`),
+    /// discards the snapshot chain, checksums and log wholesale, and cuts a
+    /// fresh checksummed base so the next recovery verifies again.
     ///
     /// The discarded log tail past `applied` was never quorum-committed
     /// (promotion picks a replica at least as durable as the quorum

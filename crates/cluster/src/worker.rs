@@ -475,32 +475,34 @@ fn flush_replies(
     }
 }
 
-/// A group-committed batch whose replies are parked awaiting quorum: the
-/// log position its events run up to, and everything to release once enough
-/// follower acks cover that position.
+/// One batch's replies and sampled spans: the worker's open batch while it
+/// drains, then — group-committed — parked in the in-flight window until
+/// enough follower acks cover `end_seq`.
+#[derive(Default)]
 struct PendingBatch {
     /// The shard log's `next_seq` right after this batch's group commit.
     end_seq: u64,
     floor: Vec<(ReplyTo<Decision>, Decision)>,
     session: Vec<(ReplyTo<SessionDecision>, SessionDecision)>,
+    /// Each tagged session-or-floor: which latency histogram it feeds.
     spans: Vec<(Box<TraceSpan>, bool)>,
 }
 
-/// Releases one quorum-covered batch: stamps every decision with the
-/// quorum-committed log position it rode to (the client's read-your-writes
-/// bound) and the leader epoch that committed it, flushes the replies, and
-/// completes the sampled spans.
+/// Releases one (quorum-)committed batch: stamps every successful decision
+/// with the log position it rode to (the client's read-your-writes bound)
+/// and the leader epoch that committed it — a failed one committed nothing
+/// and carries neither — flushes the replies and completes the spans.
 fn release(
     registry: &ReplyRegistry,
     telemetry: &WorkerTelemetry,
-    mut batch: PendingBatch,
+    batch: &mut PendingBatch,
     epoch: u64,
 ) {
-    for (_, d) in batch.floor.iter_mut() {
+    for (_, d) in batch.floor.iter_mut().filter(|(_, d)| d.outcome.is_ok()) {
         d.commit = batch.end_seq;
         d.epoch = epoch;
     }
-    for (_, d) in batch.session.iter_mut() {
+    for (_, d) in batch.session.iter_mut().filter(|(_, d)| d.outcome.is_ok()) {
         d.commit = batch.end_seq;
         d.epoch = epoch;
     }
@@ -579,8 +581,8 @@ fn settle_all(
         }
     }
     let epoch = replicas.epoch();
-    while let Some(batch) = inflight.pop_front() {
-        release(registry, telemetry, batch, epoch);
+    while let Some(mut batch) = inflight.pop_front() {
+        release(registry, telemetry, &mut batch, epoch);
     }
 }
 
@@ -591,19 +593,16 @@ fn settle_all(
 /// latency is recorded only for batches that actually produced decisions (a
 /// `With`-only wakeup commits an empty batch, which would pollute the
 /// histogram with no-op commits).
-#[allow(clippy::too_many_arguments)]
 fn commit_and_flush(
     shard: &mut Shard,
     replicas: &mut ReplicaSet,
     inflight: &mut VecDeque<PendingBatch>,
     window: usize,
     registry: &ReplyRegistry,
-    floor: &mut Vec<(ReplyTo<Decision>, Decision)>,
-    session: &mut Vec<(ReplyTo<SessionDecision>, SessionDecision)>,
-    spans: &mut Vec<(Box<TraceSpan>, bool)>,
+    open: &mut PendingBatch,
     telemetry: &WorkerTelemetry,
 ) {
-    let had_decisions = !floor.is_empty() || !session.is_empty();
+    let had_decisions = !open.floor.is_empty() || !open.session.is_empty();
     let commit = Instant::now();
     shard.commit_batch();
     if had_decisions {
@@ -611,27 +610,15 @@ fn commit_and_flush(
             .commit_latency
             .record(saturating_nanos(commit.elapsed()));
     }
-    for (span, _) in spans.iter_mut() {
+    for (span, _) in open.spans.iter_mut() {
         span.stamp(Stage::Committed);
     }
-    let end_seq = shard.log().next_seq();
+    open.end_seq = shard.log().next_seq();
     if replicas.is_empty() || !shard.is_active() {
         // Unreplicated (the local group commit is the durability point) —
-        // or demoted, in which case every answer is an error and needs no
+        // or demoted, in which case the answers are errors and need no
         // quorum.
-        let epoch = replicas.epoch();
-        for (_, d) in floor.iter_mut() {
-            d.commit = end_seq;
-            d.epoch = epoch;
-        }
-        for (_, d) in session.iter_mut() {
-            d.commit = end_seq;
-            d.epoch = epoch;
-        }
-        flush_replies(registry, floor, session);
-        for (span, is_session) in spans.drain(..) {
-            telemetry.finish_span(*span, is_session);
-        }
+        release(registry, telemetry, open, replicas.epoch());
         return;
     }
     // The pipelined quorum write: seal the batch into a shared segment and
@@ -639,32 +626,27 @@ fn commit_and_flush(
     // draining. The log and every follower retain the same segment.
     shard.seal_log();
     replicas.replicate(shard);
-    if had_decisions || !spans.is_empty() {
-        inflight.push_back(PendingBatch {
-            end_seq,
-            floor: std::mem::take(floor),
-            session: std::mem::take(session),
-            spans: std::mem::take(spans),
-        });
+    if had_decisions || !open.spans.is_empty() {
+        inflight.push_back(std::mem::take(open));
     }
-    // Opportunistically fold in whatever acks already landed and release
-    // the prefix of the window they cover.
-    replicas.pump();
+    // Opportunistically fold in whatever acks already landed (the log lets
+    // go of what the fleet now holds) and release the prefix they cover.
+    replicas.absorb_acks(shard);
     while inflight
         .front()
         .is_some_and(|b| b.end_seq <= replicas.quorum_committed())
     {
-        let batch = inflight.pop_front().expect("checked front");
-        release(registry, telemetry, batch, replicas.epoch());
+        let mut batch = inflight.pop_front().expect("checked front");
+        release(registry, telemetry, &mut batch, replicas.epoch());
     }
     // A full window is the pipeline's backpressure: block on the oldest
     // batch's quorum (retransmitting if its acks were lost) before opening
     // another. A quorum that cannot be reached — fenced or partitioned —
     // fails the whole pipeline instead of blocking forever.
     while inflight.len() > window {
-        let batch = inflight.pop_front().expect("len checked");
+        let mut batch = inflight.pop_front().expect("len checked");
         if replicas.force_quorum(shard, batch.end_seq) {
-            release(registry, telemetry, batch, replicas.epoch());
+            release(registry, telemetry, &mut batch, replicas.epoch());
         } else {
             inflight.push_front(batch);
             fail_pipeline(shard, inflight, registry, telemetry);
@@ -683,11 +665,8 @@ fn run(
     telemetry: WorkerTelemetry,
 ) {
     let mut commands: Vec<ShardCommand> = Vec::with_capacity(batch);
-    let mut floor_replies: Vec<(ReplyTo<Decision>, Decision)> = Vec::with_capacity(batch);
-    let mut session_replies: Vec<(ReplyTo<SessionDecision>, SessionDecision)> = Vec::new();
-    // Sampled spans of the open batch, each tagged session-or-floor so
-    // completion feeds the right latency histogram.
-    let mut spans: Vec<(Box<TraceSpan>, bool)> = Vec::new();
+    // Replies and sampled spans of the batch being drained.
+    let mut open = PendingBatch::default();
     // Batches group-committed locally but awaiting quorum acks.
     let mut inflight: VecDeque<PendingBatch> = VecDeque::new();
     let shard_id = shard.id();
@@ -737,10 +716,10 @@ fn run(
                     if let Some(mut span) = span {
                         span.stamp(Stage::Drained);
                         span.set_shard(shard_index);
-                        spans.push((span, false));
+                        open.spans.push((span, false));
                     }
                     let (outcome, replayed) = shard.arbitrate_dedup(seq, group, request);
-                    floor_replies.push((
+                    open.floor.push((
                         reply,
                         Decision {
                             seq,
@@ -762,11 +741,11 @@ fn run(
                     if let Some(mut span) = span {
                         span.stamp(Stage::Drained);
                         span.set_shard(shard_index);
-                        spans.push((span, true));
+                        open.spans.push((span, true));
                     }
                     let group = event.group;
                     let (outcome, replayed) = shard.arbitrate_session_dedup(seq, event);
-                    session_replies.push((
+                    open.session.push((
                         reply,
                         SessionDecision {
                             seq,
@@ -791,9 +770,7 @@ fn run(
                         &mut inflight,
                         window,
                         &registry,
-                        &mut floor_replies,
-                        &mut session_replies,
-                        &mut spans,
+                        &mut open,
                         &telemetry,
                     );
                     settle_all(
@@ -828,9 +805,7 @@ fn run(
             &mut inflight,
             window,
             &registry,
-            &mut floor_replies,
-            &mut session_replies,
-            &mut spans,
+            &mut open,
             &telemetry,
         );
     }
@@ -843,4 +818,64 @@ fn run(
         &registry,
         &telemetry,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::instrument::ClusterTelemetry;
+    use crate::ring::ShardId;
+    use std::sync::mpsc::channel;
+
+    #[test]
+    fn demoted_shard_leaves_failed_decisions_unstamped() {
+        // The branch a write drained *after* a self-demotion takes: the
+        // shard is replicated (epoch 1) but no longer active, so the batch
+        // answers without a quorum and its failures keep commit 0 / epoch 0.
+        let telemetry = ClusterTelemetry::new(0);
+        let mut shard = Shard::new(ShardId(0), 0, 64);
+        let mut replicas = ReplicaSet::new(ShardId(0), 2, Link::replica(), telemetry.replica(0));
+        shard.crash();
+        let (tx, rx) = channel();
+        let (session_tx, session_rx) = channel();
+        let mut open = PendingBatch::default();
+        open.floor.push((
+            ReplyTo::Direct(tx),
+            Decision {
+                seq: 8,
+                group: GlobalGroupId(0),
+                outcome: Err(ClusterError::ShardDown(ShardId(0))),
+                replayed: false,
+                shard: Some(ShardId(0)),
+                commit: 0,
+                epoch: 0,
+            },
+        ));
+        open.session.push((
+            ReplyTo::Direct(session_tx),
+            SessionDecision {
+                seq: 9,
+                group: GlobalGroupId(0),
+                outcome: Err(ClusterError::ShardDown(ShardId(0))),
+                replayed: false,
+                shard: Some(ShardId(0)),
+                commit: 0,
+                epoch: 0,
+            },
+        ));
+        shard.begin_batch();
+        commit_and_flush(
+            &mut shard,
+            &mut replicas,
+            &mut VecDeque::new(),
+            4,
+            &ReplyRegistry::default(),
+            &mut open,
+            &telemetry.worker(0),
+        );
+        let failed = rx.recv().unwrap();
+        assert_eq!((failed.seq, failed.commit, failed.epoch), (8, 0, 0));
+        let failed = session_rx.recv().unwrap();
+        assert_eq!((failed.seq, failed.commit, failed.epoch), (9, 0, 0));
+    }
 }

@@ -78,10 +78,35 @@ impl std::error::Error for WireError {}
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, WireError>;
 
+/// Two-digit decimal lookup: entry `n` is the ASCII of `n` in `00..=99`.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Bytes a hashing writer stages before folding them into its running CRC:
+/// large enough that the slicing kernel runs on long runs, small enough to
+/// stay in L1.
+const HASH_CHUNK: usize = 4096;
+
+/// Initial buffer of an encoding: a logged event fits, so encoding (or
+/// hashing) one takes a single small allocation instead of a run of
+/// doublings; larger values grow from here.
+const ENCODE_RESERVE: usize = 256;
+
 /// Serializes values into the token stream.
 #[derive(Debug, Default)]
 pub struct Writer {
-    out: String,
+    /// Encoded bytes. Only ASCII digits/separators and whole `&str`s are
+    /// ever appended, so the buffer is valid UTF-8 at every token boundary.
+    out: Vec<u8>,
+    /// Whether a token was written yet (the next one needs a separator).
+    started: bool,
+    /// `Some(running CRC state)` on a hashing writer: `out` is then only a
+    /// staging buffer, folded into the state every [`HASH_CHUNK`] bytes, so
+    /// checksumming a value never materializes its encoding.
+    hash: Option<u32>,
 }
 
 impl Writer {
@@ -90,47 +115,123 @@ impl Writer {
         Writer::default()
     }
 
-    fn sep(&mut self) {
-        if !self.out.is_empty() {
-            self.out.push(' ');
+    /// An empty writer with room for `bytes` of encoding.
+    fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            out: Vec::with_capacity(bytes),
+            ..Writer::default()
         }
+    }
+
+    /// A writer that hashes the token stream instead of keeping it.
+    fn hashing() -> Self {
+        Writer {
+            hash: Some(CRC32_INIT),
+            ..Writer::with_capacity(ENCODE_RESERVE)
+        }
+    }
+
+    /// Folds the staged bytes into the running CRC (hashing writers only).
+    fn fold(&mut self) {
+        if let Some(state) = &mut self.hash {
+            *state = crc32_update(*state, &self.out);
+            self.out.clear();
+        }
+    }
+
+    fn sep(&mut self) {
+        if self.started {
+            if self.hash.is_some() && self.out.len() >= HASH_CHUNK {
+                self.fold();
+            }
+            self.out.push(b' ');
+        } else {
+            self.started = true;
+        }
+    }
+
+    /// Appends the decimal digits of `v`, formatted two at a time into the
+    /// back of a stack buffer.
+    fn digits(&mut self, mut v: u64) {
+        if v < 10 {
+            // Tags, flags and small ids: most tokens are one digit.
+            return self.out.push(b'0' + v as u8);
+        }
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            at -= 2;
+            buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if v >= 10 {
+            let pair = v as usize * 2;
+            at -= 2;
+            buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            at -= 1;
+            buf[at] = b'0' + v as u8;
+        }
+        self.out.extend_from_slice(&buf[at..]);
     }
 
     /// Writes an unsigned integer.
     pub fn u64(&mut self, v: u64) {
         self.sep();
-        self.out.push_str(&v.to_string());
+        self.digits(v);
     }
 
     /// Writes a signed integer.
     pub fn i64(&mut self, v: i64) {
         self.sep();
-        self.out.push_str(&v.to_string());
+        if v < 0 {
+            self.out.push(b'-');
+        }
+        self.digits(v.unsigned_abs());
     }
 
     /// Writes a float as its exact bit pattern.
     pub fn f64(&mut self, v: f64) {
         self.sep();
-        self.out.push_str(&format!("x{:016x}", v.to_bits()));
+        let bits = v.to_bits();
+        let mut token = [b'x'; 17];
+        for (i, slot) in token[1..].iter_mut().enumerate() {
+            *slot = b"0123456789abcdef"[((bits >> (60 - 4 * i)) & 0xF) as usize];
+        }
+        self.out.extend_from_slice(&token);
     }
 
     /// Writes a boolean.
     pub fn bool(&mut self, v: bool) {
         self.sep();
-        self.out.push(if v { '1' } else { '0' });
+        self.out.push(if v { b'1' } else { b'0' });
     }
 
     /// Writes a length-prefixed string.
     pub fn str(&mut self, s: &str) {
         self.sep();
-        self.out.push_str(&s.len().to_string());
-        self.out.push(':');
-        self.out.push_str(s);
+        self.digits(s.len() as u64);
+        self.out.push(b':');
+        if self.hash.is_some() && s.len() >= HASH_CHUNK {
+            // A long payload is hashed where it lies instead of being
+            // copied through the staging buffer.
+            self.fold();
+            self.hash = self.hash.map(|state| crc32_update(state, s.as_bytes()));
+        } else {
+            self.out.extend_from_slice(s.as_bytes());
+        }
     }
 
     /// Finishes and returns the encoded buffer.
     pub fn finish(self) -> String {
-        self.out
+        String::from_utf8(self.out).expect("wire tokens are ASCII or whole strs")
+    }
+
+    /// Finishes a hashing writer: the CRC-32 of everything written.
+    fn finish_crc32(mut self) -> u32 {
+        self.fold();
+        crc32_finish(self.hash.expect("hashing writer"))
     }
 }
 
@@ -245,11 +346,14 @@ impl<'a> Reader<'a> {
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected) — the checksum under every durable frame.
-// Hand-rolled because the workspace is dependency-free; the table is built at
-// compile time.
+// Hand-rolled because the workspace is dependency-free; the tables are built
+// at compile time.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC32_TABLES[0]` is the classic bytewise table;
+/// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight table lookups advance the state over eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -262,20 +366,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// Folds `bytes` into a running CRC32 state. Start from
 /// [`CRC32_INIT`] and finish with [`crc32_finish`]; or use [`crc32`] for a
-/// one-shot hash.
+/// one-shot hash. Streaming: any split of the input gives the same state.
 pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = (state >> 8) ^ CRC32_TABLE[((state ^ b as u32) & 0xFF) as usize];
+    let t = &CRC32_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ state;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        state = (state >> 8) ^ t[0][((state ^ b as u32) & 0xFF) as usize];
     }
     state
 }
@@ -338,9 +466,26 @@ pub trait Wire: Sized {
 
 /// Encodes a value to a string.
 pub fn to_string<T: Wire>(value: &T) -> String {
-    let mut w = Writer::new();
+    let mut w = Writer::with_capacity(ENCODE_RESERVE);
     value.encode(&mut w);
     w.finish()
+}
+
+/// CRC-32 of a value's encoding — `crc32(to_string(value).as_bytes())`
+/// without materializing the string: tokens are folded into the running
+/// checksum as they are written.
+pub fn crc32_of<T: Wire>(value: &T) -> u32 {
+    crc32_of_each(std::iter::once(value))
+}
+
+/// CRC-32 of the encodings of a run of values written back to back (no
+/// length prefix), likewise without materializing them.
+pub fn crc32_of_each<'a, T: Wire + 'a>(values: impl IntoIterator<Item = &'a T>) -> u32 {
+    let mut w = Writer::hashing();
+    for value in values {
+        value.encode(&mut w);
+    }
+    w.finish_crc32()
 }
 
 /// Decodes a value from a string, requiring all input to be consumed.

@@ -3,10 +3,21 @@
 //! every outcome is `Ok` or a `WireError`. This is the contract the
 //! fault-injection plane leans on: corrupt durable bytes must surface as
 //! detectable errors, never a process abort.
+//!
+//! And equivalence properties of the checksum kernel: the slicing CRC, the
+//! digit-formatting writer and the hashing sink must produce exactly the
+//! bytes and checksums the bytewise / `to_string()`-per-token codec did, or
+//! every stored CRC would stop verifying.
 
 use std::collections::BTreeMap;
 
-use dmps_wire::{from_str, from_str_checksummed, to_string, to_string_checksummed};
+use dmps_cluster::session::SessionEvent;
+use dmps_cluster::{GlobalGroupId, GlobalMemberId, SessionOpKind, Shard, ShardEvent, ShardId};
+use dmps_floor::{ArbiterEvent, FcmMode, FloorRequest, GroupId, Member, MemberId, Role};
+use dmps_wire::{
+    crc32, crc32_finish, crc32_of, crc32_of_each, crc32_update, from_str, from_str_checksummed,
+    to_string, to_string_checksummed, Writer, CRC32_INIT,
+};
 use proptest::prelude::*;
 
 /// A value exercising every shape the codec has to parse: nested
@@ -74,7 +85,141 @@ fn flip_bit(encoded: &str, byte_idx: usize, bit: u8) -> Option<String> {
     String::from_utf8(fallback).ok()
 }
 
+/// The reference CRC-32 (IEEE, reflected): one bit at a time, no tables.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(0u8..=255, 0..600)
+}
+
+/// Runs a seminar through a checkpointing shard — floor requests, chat
+/// lines of `chat_len` bytes, a full base then a differential checkpoint —
+/// and returns it with every event it logged.
+fn driven_shard(ops: &[(usize, usize)], chat_len: usize) -> (Shard, Vec<ShardEvent>) {
+    let mut shard = Shard::new(ShardId(0), 0, 64);
+    shard.set_snapshot_policy(0, 4);
+    shard
+        .apply(ArbiterEvent::CreateGroup {
+            name: "seminar room".into(),
+            mode: FcmMode::FreeAccess,
+        })
+        .unwrap();
+    for m in 0..4 {
+        let member = Member::new(format!("m {m}"), Role::Participant);
+        let group = GroupId(0);
+        shard
+            .apply(ArbiterEvent::AddMember { group, member })
+            .unwrap();
+    }
+    let mut events: Vec<ShardEvent> = shard.log().events_from(0).cloned().collect();
+    for (i, &(kind, m)) in ops.iter().enumerate() {
+        if i == ops.len() / 2 {
+            events.extend(shard.log().events_from(events.len() as u64).cloned());
+            shard.take_snapshot();
+        }
+        if kind == 0 {
+            let request = FloorRequest::speak(GroupId(0), MemberId(m));
+            let _ = shard.apply(ArbiterEvent::Arbitrate { request });
+        } else {
+            let _ = shard.apply_session(SessionEvent {
+                group: GlobalGroupId(7),
+                local_group: GroupId(0),
+                from: GlobalMemberId(m as u64),
+                local_from: MemberId(m),
+                kind: SessionOpKind::Chat {
+                    text: "é: 1".repeat(chat_len / 5),
+                },
+            });
+        }
+    }
+    events.extend(shard.log().events_from(events.len() as u64).cloned());
+    shard.take_delta();
+    (shard, events)
+}
+
 proptest! {
+    /// The slicing kernel equals the bitwise reference, one-shot and
+    /// streamed across arbitrary split points.
+    #[test]
+    fn crc32_kernel_equals_the_bitwise_reference_at_any_split(
+        bytes in arb_bytes(),
+        a in 0usize..601,
+        b in 0usize..601,
+    ) {
+        let expected = crc32_bitwise(&bytes);
+        prop_assert_eq!(crc32(&bytes), expected);
+        let (a, b) = (a % (bytes.len() + 1), b % (bytes.len() + 1));
+        let (a, b) = (a.min(b), a.max(b));
+        let mut state = crc32_update(CRC32_INIT, &bytes[..a]);
+        state = crc32_update(state, &bytes[a..b]);
+        state = crc32_update(state, &bytes[b..]);
+        prop_assert_eq!(crc32_finish(state), expected);
+    }
+
+    /// Integer, float and string tokens encode byte-identically to the
+    /// `to_string()` / `format!` writer they replaced.
+    #[test]
+    fn tokens_encode_as_the_formatting_writer_did(
+        u in 0u64..u64::MAX,
+        shift in 0u32..64,
+        i in i64::MIN..i64::MAX,
+        bits in 0u64..u64::MAX,
+        s in arb_string(),
+    ) {
+        let mut w = Writer::new();
+        w.u64(u >> shift);
+        w.i64(i >> shift);
+        w.f64(f64::from_bits(bits));
+        w.str(&s);
+        let expected = format!("{} {} x{:016x} {}:{}", u >> shift, i >> shift, bits, s.len(), s);
+        prop_assert_eq!(w.finish(), expected);
+    }
+
+    /// The hashing sink equals the hash of the materialized encoding, for
+    /// values on both sides of its staging-buffer size.
+    #[test]
+    fn hashing_sink_equals_the_hash_of_the_encoding(
+        value in arb_deep(),
+        long in 0usize..10_000,
+    ) {
+        prop_assert_eq!(crc32_of(&value), crc32(to_string(&value).as_bytes()));
+        let padded = (value, "→".repeat(long / 3), vec![u64::MAX; long / 64]);
+        prop_assert_eq!(crc32_of(&padded), crc32(to_string(&padded).as_bytes()));
+    }
+
+    /// Every checksum the cluster stores — per sealed segment, per delta,
+    /// per base — is the one the materializing codec would have stored.
+    #[test]
+    fn durable_artifact_checksums_equal_the_hash_of_their_encoding(
+        ops in proptest::collection::vec((0usize..2, 0usize..4), 2..60),
+        chat_len in 0usize..6_000,
+    ) {
+        let (shard, events) = driven_shard(&ops, chat_len);
+        let mut w = Writer::new();
+        for event in &events {
+            prop_assert_eq!(crc32_of(event), crc32(to_string(event).as_bytes()));
+            dmps_wire::Wire::encode(event, &mut w);
+        }
+        prop_assert_eq!(crc32_of_each(&events), crc32(w.finish().as_bytes()));
+        let base = shard.latest_snapshot().expect("base taken mid-run");
+        prop_assert_eq!(crc32_of(base), crc32(to_string(base).as_bytes()));
+        let delta = shard.snapshot_deltas().last().expect("delta taken at the end");
+        prop_assert_eq!(crc32_of(delta), crc32(to_string(delta).as_bytes()));
+    }
+
     /// Decoding any prefix of a valid encoding returns Ok or an error —
     /// never a panic (a panic fails the test).
     #[test]
@@ -130,6 +275,52 @@ proptest! {
             }
         }
     }
+}
+
+/// The token edge cases by name: zero, every digit-count boundary, the
+/// extremes, and NaN bit patterns (floats travel as bits, so payload and
+/// sign survive).
+#[test]
+fn edge_tokens_encode_as_the_formatting_writer_did() {
+    let mut unsigned = vec![
+        0,
+        9,
+        10,
+        99,
+        100,
+        101,
+        999,
+        1_000,
+        u32::MAX as u64,
+        u64::MAX,
+    ];
+    unsigned.extend((1..20).flat_map(|d| [10u64.pow(d) - 1, 10u64.pow(d)]));
+    for v in unsigned {
+        assert_eq!(to_string(&v), v.to_string());
+    }
+    for v in [0, -1, 1, -9, -10, -100, i64::MAX, i64::MIN, i64::MIN + 1] {
+        assert_eq!(to_string(&v), v.to_string());
+    }
+    let nan_payload = f64::from_bits(0x7ff8_0000_dead_beef);
+    let negative_nan = f64::from_bits(0xfff0_0000_0000_0001);
+    for v in [
+        0.0,
+        -0.0,
+        1.5,
+        f64::NAN,
+        nan_payload,
+        negative_nan,
+        f64::INFINITY,
+        f64::MIN,
+    ] {
+        assert_eq!(to_string(&v), format!("x{:016x}", v.to_bits()));
+    }
+    for s in ["", " ", "1:2 3", "čéß → 🦀"] {
+        assert_eq!(to_string(&s.to_string()), format!("{}:{s}", s.len()));
+    }
+    let framed = to_string_checksummed(&(u64::MAX, String::new()));
+    let payload = to_string(&(u64::MAX, String::new()));
+    assert_eq!(framed, format!("{} {payload}", crc32(payload.as_bytes())));
 }
 
 /// Exhaustive single-byte truncation of one tricky value — cheaper than the
