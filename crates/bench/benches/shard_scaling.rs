@@ -5,7 +5,7 @@
 //! 4 and 8 shards with a production-shaped checkpoint cadence (event
 //! cadence 128, differential chain). Each iteration pushes one speak wave
 //! plus a release wave through every group via the batched
-//! [`dmps_cluster::Cluster::flush_parallel`] path. On multi-core hosts
+//! [`dmps_cluster::Cluster::flush`] path. On multi-core hosts
 //! throughput rises with the shard count (per-shard workers run in
 //! parallel). On a single-core host the curve used to rise too — each
 //! cadence checkpoint serialized the whole shard, so per-shard checkpoint
@@ -69,7 +69,7 @@ fn bench_shard_scaling(c: &mut Criterion) {
                                 .expect("routable");
                         }
                     }
-                    let decisions = cluster.flush_parallel();
+                    let decisions = cluster.flush();
                     // Drain every token so state does not accumulate across
                     // iterations: each member releases in turn, emptying the
                     // queue the speak wave built.
@@ -80,7 +80,7 @@ fn bench_shard_scaling(c: &mut Criterion) {
                                 .expect("routable");
                         }
                     }
-                    let releases = cluster.flush_parallel();
+                    let releases = cluster.flush();
                     (decisions.len(), releases.len())
                 })
             },

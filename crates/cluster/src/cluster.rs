@@ -5,17 +5,19 @@
 //! [`Directory`] of placements/membership taken by `&self`, and one
 //! persistent worker thread per shard draining an MPSC command queue (the
 //! `worker` module). Any number of [`Gateway`] handles —
-//! each a clone holding the same `Arc<Core>` — submit floor requests
-//! concurrently; requests are translated to the owning shard's dense local
-//! ids, queued to that shard's worker, and decisions stream back to the
+//! each a clone holding the same `Arc<Core>` — submit ops concurrently.
+//! Floor requests and session operations are one [`Op`] to this layer: one
+//! scalar and one vectored submit translate an op to the owning shard's
+//! dense local ids, queue it to that shard's worker (or park it while its
+//! group is frozen by a live handoff), and its [`Reply`] streams back to the
 //! submitting gateway.
 //!
 //! [`Cluster`] wraps one default gateway behind the original single-threaded
 //! API so pre-refactor call sites migrate mechanically: `submit` + `flush`
 //! still return decisions sorted by submission order, `request` still
-//! round-trips synchronously. `flush` and `flush_parallel` are now the same
-//! operation — every shard always works in parallel behind its queue — and
-//! both merely await the decisions of this façade's outstanding submissions.
+//! round-trips synchronously. Every shard always works in parallel behind
+//! its queue, so `flush` merely awaits the decisions of this façade's
+//! outstanding submissions.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::channel;
@@ -32,12 +34,14 @@ use crate::directory::{ClusterInvitation, Directory, GroupPlacement, MemberRecor
 use crate::error::{ClusterError, Result};
 use crate::gateway::Gateway;
 use crate::instrument::ClusterTelemetry;
+use crate::op::{LocalOp, Op, Reply};
+use crate::poison::{read, write};
 use crate::queue::{OverloadPolicy, QueueStats};
-
+use crate::replication::{lock_core, FollowerCore, ReplicaSet};
 use crate::ring::{HashRing, ShardId};
-use crate::session::{GroupSession, SessionDecision, SessionEvent, SessionOp, SessionOutcome};
+use crate::session::{GroupSession, SessionEvent, SessionOp, SessionOutcome};
 use crate::shard::{CorruptionTarget, GlobalGroupId, GlobalMemberId, Shard, ShardView};
-use crate::worker::{ReplyRegistry, ReplyTo, ShardCommand, ShardWorker};
+use crate::worker::{BarrierFn, ReplyRegistry, ReplyTo, ShardCommand, ShardWorker};
 use dmps_telemetry::Stage as TraceStage;
 use dmps_telemetry::{MetricsRegistry, TraceSpan};
 
@@ -226,20 +230,23 @@ impl GlobalRequestKind {
     }
 }
 
-/// The arbitration decision for one submitted request.
+/// The decision for one submitted op, generic over its outcome: a floor
+/// request is answered with a plain `Decision` (an [`ArbitrationOutcome`]),
+/// a session operation with a [`SessionDecision`](crate::SessionDecision) —
+/// the same envelope around a [`SessionOutcome`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct Decision {
+pub struct Decision<O = ArbitrationOutcome> {
     /// The request id ([`Gateway::submit`](crate::Gateway::submit) /
     /// [`Cluster::submit`] sequence number).
     pub seq: u64,
-    /// The group the request addressed.
+    /// The group the op addressed.
     pub group: GlobalGroupId,
     /// The outcome, or the routing/shard error that prevented arbitration.
     /// The outcome is shared (`Arc`) with the owning shard's dedup journal:
     /// recording and replaying a decision never deep-copies its payload.
-    pub outcome: Result<Arc<ArbitrationOutcome>>,
+    pub outcome: Result<Arc<O>>,
     /// Whether the decision was answered from the shard's dedup window (a
-    /// retry of an already-applied request) rather than freshly arbitrated.
+    /// retry of an already-applied op) rather than freshly arbitrated.
     pub replayed: bool,
     /// The shard that answered, or `None` when routing failed before a shard
     /// was resolved (unknown group / member).
@@ -374,17 +381,10 @@ impl HandoffTicket {
 /// the routing layer and is re-driven through the normal gateway path after
 /// the commit (toward the new owner) or abort (back to the source).
 #[derive(Debug)]
-enum ParkedOp {
-    Floor {
-        seq: u64,
-        request: GlobalRequest,
-        reply: ReplyTo<Decision>,
-    },
-    Session {
-        seq: u64,
-        op: SessionOp,
-        reply: ReplyTo<SessionDecision>,
-    },
+struct ParkedOp {
+    seq: u64,
+    op: Op,
+    reply: ReplyTo,
 }
 
 /// Position of `member` in `group`'s floor-token line on an arbiter:
@@ -485,176 +485,178 @@ impl Core {
         &self.registry
     }
 
-    /// Occupancy statistics of one shard's bounded ingest queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range id (shard ids come from this cluster).
+    /// Runs `f` with `shard`'s worker handle. Panics for an out-of-range id
+    /// (shard ids come from this cluster).
+    fn with_worker<R>(&self, shard: ShardId, f: impl FnOnce(&ShardWorker) -> R) -> R {
+        let workers = read(&self.workers);
+        let worker = workers.get(shard.0);
+        f(worker.unwrap_or_else(|| panic!("shard {shard} out of range")))
+    }
+
+    /// Occupancy statistics of one shard's bounded ingest queue (panics for
+    /// an out-of-range id).
     pub(crate) fn queue_stats(&self, shard: ShardId) -> QueueStats {
-        let workers = self.workers.read().expect("workers lock");
-        workers
-            .get(shard.0)
-            .unwrap_or_else(|| panic!("shard {shard} out of range"))
-            .stats()
+        self.with_worker(shard, ShardWorker::stats)
     }
 
-    /// Restarts the peak-occupancy window of one shard's ingest queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range id (shard ids come from this cluster).
+    /// Restarts the peak-occupancy window of one shard's ingest queue
+    /// (panics for an out-of-range id).
     pub(crate) fn reset_queue_peak(&self, shard: ShardId) {
-        let workers = self.workers.read().expect("workers lock");
-        workers
-            .get(shard.0)
-            .unwrap_or_else(|| panic!("shard {shard} out of range"))
-            .reset_peak();
+        self.with_worker(shard, ShardWorker::reset_peak);
     }
 
-    /// Answers a floor submission on its reply route without involving a
-    /// shard — the path for routing errors and shed submissions.
-    fn answer_floor(&self, reply: &ReplyTo<Decision>, decision: Decision) {
-        match reply {
-            ReplyTo::Gateway(handle) => self.registry.send_decisions(*handle, vec![decision]),
+    /// Answers a submission on its reply route without involving a shard —
+    /// the path for routing errors and shed submissions.
+    fn answer(&self, to: &ReplyTo, reply: Reply) {
+        match to {
+            ReplyTo::Gateway(handle) => self.registry.send(*handle, vec![reply]),
             ReplyTo::Direct(tx) => {
-                let _ = tx.send(decision);
+                let _ = tx.send(reply);
             }
         }
     }
 
-    /// Answers a session submission on its reply route without involving a
-    /// shard.
-    fn answer_session(&self, reply: &ReplyTo<SessionDecision>, decision: SessionDecision) {
-        match reply {
-            ReplyTo::Gateway(handle) => {
-                self.registry
-                    .send_session_decisions(*handle, vec![decision]);
-            }
-            ReplyTo::Direct(tx) => {
-                let _ = tx.send(decision);
-            }
-        }
+    /// Answers an ingest command `shard`'s full queue handed back under
+    /// [`OverloadPolicy::Shed`] with [`ClusterError::Overloaded`] — nothing
+    /// is ever dropped silently.
+    fn shed(&self, shard: ShardId, rejected: ShardCommand) {
+        let ShardCommand::Ingest { seq, op, reply, .. } = rejected else {
+            return;
+        };
+        self.telemetry.sheds.incr();
+        let (session, group) = match op {
+            LocalOp::Floor { group, .. } => (false, group),
+            LocalOp::Session(event) => (true, event.group),
+        };
+        let error = ClusterError::Overloaded(shard);
+        self.answer(
+            &reply,
+            Reply::failed(session, seq, group, Some(shard), error),
+        );
     }
 
     pub(crate) fn shard_count(&self) -> usize {
-        self.workers.read().expect("workers lock").len()
+        read(&self.workers).len()
     }
 
-    /// Runs `f` on the worker thread owning `shard` and returns its result.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range id (shard ids come from this cluster).
+    /// Runs `f` on the worker thread owning `shard`, with the shard and its
+    /// replica set, and returns its result; `command` picks the barrier
+    /// ([`ShardCommand::With`]) or non-barrier ([`ShardCommand::Fault`])
+    /// control path.
+    fn control<R: Send + 'static>(
+        &self,
+        shard: ShardId,
+        command: fn(BarrierFn) -> ShardCommand,
+        f: impl FnOnce(&mut Shard, &mut ReplicaSet) -> R + Send + 'static,
+    ) -> R {
+        let (tx, rx) = channel();
+        // Control commands are exempt from the ingest bound: a saturated
+        // queue must never starve (or deadlock) the control plane.
+        let barrier = command(Box::new(move |s, r| {
+            let _ = tx.send(f(s, r));
+        }));
+        self.with_worker(shard, |worker| worker.send_control(barrier));
+        rx.recv().expect("shard worker answers")
+    }
+
+    /// Runs `f` on the worker thread owning `shard` and returns its result
+    /// (panics for an out-of-range id).
     pub(crate) fn with_shard<R: Send + 'static>(
         &self,
         shard: ShardId,
         f: impl FnOnce(&mut Shard) -> R + Send + 'static,
     ) -> R {
-        let (tx, rx) = channel();
-        {
-            let workers = self.workers.read().expect("workers lock");
-            let worker = workers
-                .get(shard.0)
-                .unwrap_or_else(|| panic!("shard {shard} out of range"));
-            // Control commands are exempt from the ingest bound: a saturated
-            // queue must never starve (or deadlock) the control plane.
-            worker.send_control(ShardCommand::With(Box::new(move |s, _| {
-                let _ = tx.send(f(s));
-            })));
-        }
-        rx.recv().expect("shard worker answers")
+        self.control(shard, ShardCommand::With, move |s, _| f(s))
     }
 
-    /// Like [`Core::with_shard`], but the closure also gets the shard's
-    /// replica set — the promotion path needs both halves.
-    pub(crate) fn with_shard_replicas<R: Send + 'static>(
-        &self,
-        shard: ShardId,
-        f: impl FnOnce(&mut Shard, &mut crate::replication::ReplicaSet) -> R + Send + 'static,
-    ) -> R {
-        let (tx, rx) = channel();
-        {
-            let workers = self.workers.read().expect("workers lock");
-            let worker = workers
-                .get(shard.0)
-                .unwrap_or_else(|| panic!("shard {shard} out of range"));
-            worker.send_control(ShardCommand::With(Box::new(move |s, r| {
-                let _ = tx.send(f(s, r));
-            })));
-        }
-        rx.recv().expect("shard worker answers")
-    }
-
-    /// Like [`Core::with_shard_replicas`], but through the **non-barrier**
-    /// [`ShardCommand::Fault`] path: the closure runs with the pipeline left
-    /// exactly as it is — batches still parked mid-quorum-write — which is
-    /// what lets an injected partition or corruption land *inside* a quorum
-    /// write instead of between two fully settled batches.
+    /// Like [`Core::with_shard`] — plus the shard's replica set — but through
+    /// the **non-barrier** [`ShardCommand::Fault`] path: the closure runs with
+    /// the pipeline left exactly as it is — batches still parked
+    /// mid-quorum-write — which is what lets an injected partition or
+    /// corruption land *inside* a quorum write instead of between two fully
+    /// settled batches.
     pub(crate) fn with_shard_fault<R: Send + 'static>(
         &self,
         shard: ShardId,
-        f: impl FnOnce(&mut Shard, &mut crate::replication::ReplicaSet) -> R + Send + 'static,
+        f: impl FnOnce(&mut Shard, &mut ReplicaSet) -> R + Send + 'static,
     ) -> R {
-        let (tx, rx) = channel();
-        {
-            let workers = self.workers.read().expect("workers lock");
-            let worker = workers
-                .get(shard.0)
-                .unwrap_or_else(|| panic!("shard {shard} out of range"));
-            worker.send_control(ShardCommand::Fault(Box::new(move |s, r| {
-                let _ = tx.send(f(s, r));
-            })));
-        }
-        rx.recv().expect("shard worker answers")
+        self.control(shard, ShardCommand::Fault, f)
     }
 
-    /// Translates a global request to the owning shard's local ids.
-    fn translate(&self, request: &GlobalRequest) -> Result<(GroupPlacement, FloorRequest)> {
-        let placement = self.directory.placement(request.group)?;
-        Ok((placement, self.localize(request, placement)?))
-    }
-
-    /// Translates a request whose group placement is already resolved — the
-    /// vectored path memoizes placements per batch so consecutive requests
-    /// against the same group pay one directory lookup, not one each.
-    fn localize(&self, request: &GlobalRequest, placement: GroupPlacement) -> Result<FloorRequest> {
-        let member = self
-            .directory
-            .local_member(request.member, placement.shard)?;
-        let kind = match request.kind {
-            GlobalRequestKind::Speak => RequestKind::Speak,
-            GlobalRequestKind::ReleaseFloor => RequestKind::ReleaseFloor,
-            GlobalRequestKind::PassFloor { to } => RequestKind::PassFloor {
-                to: self.directory.local_member(to, placement.shard)?,
+    /// Translates an op to the owning shard's local ids — by value, so a
+    /// session payload moves into its event and is never cloned. The
+    /// placement comes from the caller: the vectored path memoizes it per
+    /// batch so consecutive ops against the same group pay one directory
+    /// lookup, not one each.
+    fn localize(&self, op: Op, placement: GroupPlacement) -> Result<(ShardId, LocalOp)> {
+        let shard = placement.shard;
+        let local = |member| self.directory.local_member(member, shard);
+        let op = match op {
+            Op::Floor(request) => LocalOp::Floor {
+                group: request.group,
+                request: FloorRequest {
+                    group: placement.local,
+                    member: local(request.member)?,
+                    kind: match request.kind {
+                        GlobalRequestKind::Speak => RequestKind::Speak,
+                        GlobalRequestKind::ReleaseFloor => RequestKind::ReleaseFloor,
+                        GlobalRequestKind::PassFloor { to } => {
+                            RequestKind::PassFloor { to: local(to)? }
+                        }
+                        GlobalRequestKind::DirectContact { to } => {
+                            RequestKind::DirectContact { to: local(to)? }
+                        }
+                    },
+                },
             },
-            GlobalRequestKind::DirectContact { to } => RequestKind::DirectContact {
-                to: self.directory.local_member(to, placement.shard)?,
-            },
+            Op::Session(op) => LocalOp::Session(SessionEvent {
+                group: op.group,
+                local_group: placement.local,
+                from: op.from,
+                local_from: local(op.from)?,
+                kind: op.kind,
+            }),
         };
-        Ok(FloorRequest {
-            group: placement.local,
-            member,
-            kind,
-        })
+        Ok((shard, op))
     }
 
-    /// Whether the group is frozen by an in-flight handoff at the routing
-    /// layer.
-    fn is_routing_frozen(&self, group: GlobalGroupId) -> bool {
-        self.parked
-            .read()
-            .expect("parking lot")
-            .contains_key(&group)
+    /// Pushes one localized op onto its shard's bounded queue; the reply
+    /// will stream to `reply`. When the queue is full, the configured
+    /// [`OverloadPolicy`] decides: `Block` waits for space (lossless
+    /// backpressure), `Shed` answers the submission with
+    /// [`ClusterError::Overloaded`] on its reply route.
+    fn enqueue(
+        &self,
+        shard: ShardId,
+        seq: u64,
+        op: LocalOp,
+        reply: ReplyTo,
+        mut span: Option<Box<TraceSpan>>,
+    ) {
+        let workers = read(&self.workers);
+        if let Some(span) = &mut span {
+            // Under `Block` the push below may wait for queue space; that
+            // wait shows up in the enqueued→drained interval (it is all time
+            // spent waiting for the shard).
+            span.stamp(TraceStage::Enqueued);
+        }
+        let command = ShardCommand::Ingest {
+            seq,
+            op,
+            reply,
+            span,
+        };
+        if let Err(rejected) = workers[shard.0].push_ingest(command, self.config.overload) {
+            self.shed(shard, rejected);
+        }
     }
 
-    /// Routes a request to its shard's bounded queue under the given request
-    /// id; the decision will stream to `reply`. A request for a group frozen
-    /// by an in-flight handoff is parked and re-driven (still toward
-    /// `reply`) after the handoff commits or aborts. When the queue is full,
-    /// the configured [`OverloadPolicy`] decides: `Block` waits for space
-    /// (lossless backpressure), `Shed` answers the submission with
-    /// [`ClusterError::Overloaded`] on its reply route — nothing is ever
-    /// dropped silently.
+    /// Routes an op — floor request or session operation alike — to its
+    /// shard's bounded queue under the given request id; the reply will
+    /// stream to `reply`. An op for a group frozen by an in-flight handoff
+    /// is parked and re-driven (still toward `reply`) after the handoff
+    /// commits or aborts; a full queue blocks or sheds as [`Core::enqueue`]
+    /// describes.
     ///
     /// The routing happens under the parking lot's read guard: a concurrent
     /// `freeze_routing` (write lock) cannot interleave between the
@@ -664,75 +666,38 @@ impl Core {
     /// [`ClusterError::GroupFrozen`]. (Holding the read guard across a
     /// `Block` wait is deadlock-free: the worker draining the queue never
     /// takes routing locks.)
-    pub(crate) fn submit_as(
-        &self,
-        seq: u64,
-        request: GlobalRequest,
-        reply: ReplyTo<Decision>,
-    ) -> Result<()> {
+    pub(crate) fn submit_as(&self, seq: u64, op: Op, reply: ReplyTo) -> Result<()> {
         // Sampled 1-in-N: almost every submission skips straight past this.
-        let mut span = self.telemetry.begin_span(seq, request.kind.label());
+        let mut span = self.telemetry.begin_span(seq, op.label());
         if let (Some(span), ReplyTo::Gateway(handle)) = (&mut span, &reply) {
             span.set_gateway(handle.index());
         }
+        let group = op.group();
         loop {
             {
-                let parked = self.parked.read().expect("parking lot");
-                if !parked.contains_key(&request.group) {
-                    let (placement, local) = self.translate(&request)?;
-                    let workers = self.workers.read().expect("workers lock");
-                    if let Some(span) = &mut span {
-                        // Under `Block` the push below may wait for queue
-                        // space; that wait shows up in the enqueued→drained
-                        // interval (it is all time spent waiting for the
-                        // shard).
-                        span.stamp(TraceStage::Enqueued);
-                    }
-                    let command = ShardCommand::Request {
-                        seq,
-                        group: request.group,
-                        request: local,
-                        reply,
-                        span: span.take(),
-                    };
-                    if let Err(ShardCommand::Request { reply, .. }) =
-                        workers[placement.shard.0].push_ingest(command, self.config.overload)
-                    {
-                        self.telemetry.sheds.incr();
-                        self.answer_floor(
-                            &reply,
-                            Decision {
-                                seq,
-                                group: request.group,
-                                outcome: Err(ClusterError::Overloaded(placement.shard)),
-                                replayed: false,
-                                shard: Some(placement.shard),
-                                commit: 0,
-                                epoch: 0,
-                            },
-                        );
-                    }
+                let parked = read(&self.parked);
+                if !parked.contains_key(&group) {
+                    let (shard, op) = self.localize(op, self.directory.placement(group)?)?;
+                    self.enqueue(shard, seq, op, reply, span);
                     return Ok(());
                 }
             }
-            let mut parked = self.parked.write().expect("parking lot");
-            if let Some(waiting) = parked.get_mut(&request.group) {
+            let mut parked = write(&self.parked);
+            if let Some(waiting) = parked.get_mut(&group) {
                 // The span (if any) does not wait out the handoff with the
                 // op; a re-driven submission is traced as unsampled.
                 self.telemetry.parked.incr();
-                waiting.push(ParkedOp::Floor {
-                    seq,
-                    request,
-                    reply,
-                });
+                waiting.push(ParkedOp { seq, op, reply });
                 return Ok(());
             }
             // Unfrozen between the two lock acquisitions: retry the send.
         }
     }
 
-    /// Synchronously arbitrates under the given request id, returning the
-    /// outcome and whether it was replayed from the dedup window.
+    /// Synchronously submits an op under the given request id and returns
+    /// its whole released [`Reply`], so callers that track read-your-writes
+    /// bounds (the gateways) can observe its commit position even when the
+    /// outcome is an error.
     ///
     /// Unlike the streaming path, a frozen group fails fast with
     /// [`ClusterError::GroupFrozen`] instead of parking — a synchronous
@@ -741,110 +706,12 @@ impl Core {
     /// races the freeze itself may instead park and block until the handoff
     /// resolves, which is safe (the coordinator is necessarily another
     /// thread in that interleaving).
-    /// Synchronous arbitration returning the whole released [`Decision`], so
-    /// callers that track read-your-writes bounds (the gateways) can observe
-    /// its [`Decision::commit`] position even when the outcome is an error.
-    pub(crate) fn request_raw(&self, seq: u64, request: GlobalRequest) -> Result<Decision> {
-        if self.is_routing_frozen(request.group) {
-            return Err(ClusterError::GroupFrozen(request.group));
+    pub(crate) fn request_raw(&self, seq: u64, op: Op) -> Result<Reply> {
+        if read(&self.parked).contains_key(&op.group()) {
+            return Err(ClusterError::GroupFrozen(op.group()));
         }
         let (tx, rx) = channel();
-        self.submit_as(seq, request, ReplyTo::Direct(tx))?;
-        rx.recv().map_err(|_| ClusterError::Disconnected)
-    }
-
-    // ----- session operations ----------------------------------------------
-
-    /// Translates a session operation to the owning shard's local ids.
-    fn translate_session(&self, op: &SessionOp) -> Result<(GroupPlacement, SessionEvent)> {
-        let placement = self.directory.placement(op.group)?;
-        let local_from = self.directory.local_member(op.from, placement.shard)?;
-        Ok((
-            placement,
-            SessionEvent {
-                group: op.group,
-                local_group: placement.local,
-                from: op.from,
-                local_from,
-                kind: op.kind.clone(),
-            },
-        ))
-    }
-
-    /// Routes a session operation to its shard's bounded queue under the
-    /// given request id; the decision will stream to `reply`. Operations for
-    /// a frozen group are parked exactly like floor requests, with the same
-    /// read-guard-across-send freedom from the check/enqueue race; a full
-    /// queue blocks or sheds per the configured [`OverloadPolicy`], exactly
-    /// like [`Core::submit_as`].
-    pub(crate) fn submit_session_as(
-        &self,
-        seq: u64,
-        op: SessionOp,
-        reply: ReplyTo<SessionDecision>,
-    ) -> Result<()> {
-        let mut span = self.telemetry.begin_span(seq, op.kind.label());
-        if let (Some(span), ReplyTo::Gateway(handle)) = (&mut span, &reply) {
-            span.set_gateway(handle.index());
-        }
-        loop {
-            {
-                let parked = self.parked.read().expect("parking lot");
-                if !parked.contains_key(&op.group) {
-                    let (placement, event) = self.translate_session(&op)?;
-                    let workers = self.workers.read().expect("workers lock");
-                    if let Some(span) = &mut span {
-                        span.stamp(TraceStage::Enqueued);
-                    }
-                    let command = ShardCommand::Session {
-                        seq,
-                        event,
-                        reply,
-                        span: span.take(),
-                    };
-                    if let Err(ShardCommand::Session { reply, .. }) =
-                        workers[placement.shard.0].push_ingest(command, self.config.overload)
-                    {
-                        self.telemetry.sheds.incr();
-                        self.answer_session(
-                            &reply,
-                            SessionDecision {
-                                seq,
-                                group: op.group,
-                                outcome: Err(ClusterError::Overloaded(placement.shard)),
-                                replayed: false,
-                                shard: Some(placement.shard),
-                                commit: 0,
-                                epoch: 0,
-                            },
-                        );
-                    }
-                    return Ok(());
-                }
-            }
-            let mut parked = self.parked.write().expect("parking lot");
-            match parked.get_mut(&op.group) {
-                Some(waiting) => {
-                    self.telemetry.parked.incr();
-                    waiting.push(ParkedOp::Session { seq, op, reply });
-                    return Ok(());
-                }
-                // Unfrozen between the two lock acquisitions: retry the send.
-                None => continue,
-            }
-        }
-    }
-
-    /// Synchronously applies a session operation under the given request id,
-    /// returning the whole released [`SessionDecision`] — the session twin
-    /// of [`Core::request_raw`]. Frozen groups fail fast with
-    /// [`ClusterError::GroupFrozen`].
-    pub(crate) fn session_raw(&self, seq: u64, op: SessionOp) -> Result<SessionDecision> {
-        if self.is_routing_frozen(op.group) {
-            return Err(ClusterError::GroupFrozen(op.group));
-        }
-        let (tx, rx) = channel();
-        self.submit_session_as(seq, op, ReplyTo::Direct(tx))?;
+        self.submit_as(seq, op, ReplyTo::Direct(tx))?;
         rx.recv().map_err(|_| ClusterError::Disconnected)
     }
 
@@ -860,16 +727,16 @@ impl Core {
         &self,
         shard: ShardId,
         bound: u64,
-        f: impl FnOnce(&crate::replication::FollowerCore) -> R,
+        f: impl FnOnce(&FollowerCore) -> R,
     ) -> Option<R> {
-        let workers = self.workers.read().expect("workers lock");
+        let workers = read(&self.workers);
         let worker = workers.get(shard.0)?;
         let followers = worker.followers();
         if followers.is_empty() {
             return None;
         }
         let pick = (self.directory.read_ticket() % followers.len() as u64) as usize;
-        let mut core = crate::replication::lock_core(&followers[pick]);
+        let mut core = lock_core(&followers[pick]);
         // Followers ack durability and apply lazily: drain the pending tail
         // so the state served (and the bound check) reflect everything this
         // follower durably holds.
@@ -938,66 +805,61 @@ impl Core {
 
     // ----- vectored (batched) submission -------------------------------------
 
-    /// Submits a whole batch of floor requests with amortized costs: one
-    /// request-id lease for the batch (allocated by the calling gateway so
-    /// its ids stay monotone across interleaved scalar submissions), one
-    /// pass over the routing directory, one parking-lot guard, and one queue
-    /// reservation per owning shard. Returns the batch's request ids
-    /// (`start_seq..start_seq + len`) in submission order.
+    /// Submits a whole batch of ops — any mix of floor requests and session
+    /// operations — with amortized costs: one request-id lease for the batch
+    /// (allocated by the calling gateway so its ids stay monotone across
+    /// interleaved scalar submissions), one pass over the routing directory,
+    /// one parking-lot guard, and one queue reservation per owning shard.
+    /// Returns the batch's request ids (`start_seq..start_seq + len`) in
+    /// submission order; a group's ops reach its shard in that order,
+    /// whatever their kinds.
     ///
-    /// Every returned id resolves to exactly one decision on `reply` — a
-    /// real arbitration, [`ClusterError::Overloaded`] if its shard shed it,
-    /// or the routing error that made it unroutable — so callers can account
-    /// for batches exactly. Requests for frozen groups park individually and
+    /// Every returned id resolves to exactly one reply on `reply` — a real
+    /// arbitration, [`ClusterError::Overloaded`] if its shard shed it, or
+    /// the routing error that made it unroutable — so callers can account
+    /// for batches exactly. Ops for frozen groups park individually and
     /// re-drive after the handoff, like single submissions.
     pub(crate) fn submit_batch_as(
         &self,
         start_seq: u64,
-        requests: &[GlobalRequest],
-        reply: &ReplyTo<Decision>,
+        ops: impl ExactSizeIterator<Item = Op>,
+        reply: &ReplyTo,
     ) -> Vec<u64> {
-        let n = requests.len() as u64;
-        if n == 0 {
-            return Vec::new();
-        }
+        let n = ops.len() as u64;
         let seqs: Vec<u64> = (start_seq..start_seq + n).collect();
         // One sampling-tick reservation covers the whole batch, so the
-        // per-request trace decision below is pure arithmetic.
+        // per-op trace decision below is pure arithmetic.
         let trace_run = self.telemetry.reserve_span_run(n);
         let mut per_shard: BTreeMap<ShardId, Vec<ShardCommand>> = BTreeMap::new();
-        // Requests that must park (their group is frozen) fall back to the
+        // Ops that must park (their group is frozen) fall back to the
         // single-submission path below, outside the read guard.
-        let mut frozen: Vec<(u64, GlobalRequest)> = Vec::new();
+        let mut frozen: Vec<(u64, Op)> = Vec::new();
         {
-            let parked = self.parked.read().expect("parking lot");
+            let parked = read(&self.parked);
             // The "one directory pass": batches are typically group-major
-            // (a burst of requests against the same group), so a one-entry
+            // (a burst of ops against the same group), so a one-entry
             // placement cache removes most striped read-lock lookups.
             let mut last: Option<(GlobalGroupId, GroupPlacement)> = None;
-            for (&seq, &request) in seqs.iter().zip(requests) {
-                if parked.contains_key(&request.group) {
-                    frozen.push((seq, request));
+            for (&seq, op) in seqs.iter().zip(ops) {
+                let (group, session, label) = (op.group(), op.is_session(), op.label());
+                if parked.contains_key(&group) {
+                    frozen.push((seq, op));
                     continue;
                 }
                 let placement = match last {
-                    Some((group, placement)) if group == request.group => Ok(placement),
-                    _ => self.directory.placement(request.group).inspect(|&p| {
-                        last = Some((request.group, p));
+                    Some((cached, placement)) if cached == group => Ok(placement),
+                    _ => self.directory.placement(group).inspect(|&p| {
+                        last = Some((group, p));
                     }),
                 };
-                match placement.and_then(|p| Ok((p, self.localize(&request, p)?))) {
-                    Ok((placement, local)) => {
+                match placement.and_then(|p| self.localize(op, p)) {
+                    Ok((shard, op)) => {
                         // Sampled spans ride inside the batch; "enqueued" is
                         // stamped at command build, one reservation before
                         // the actual push.
                         let span = self
                             .telemetry
-                            .begin_span_in_run(
-                                trace_run,
-                                seq - start_seq,
-                                seq,
-                                request.kind.label(),
-                            )
+                            .begin_span_in_run(trace_run, seq - start_seq, seq, label)
                             .map(|mut span| {
                                 if let ReplyTo::Gateway(handle) = reply {
                                     span.set_gateway(handle.index());
@@ -1006,176 +868,31 @@ impl Core {
                                 span
                             });
                         per_shard
-                            .entry(placement.shard)
+                            .entry(shard)
                             .or_default()
-                            .push(ShardCommand::Request {
+                            .push(ShardCommand::Ingest {
                                 seq,
-                                group: request.group,
-                                request: local,
+                                op,
                                 reply: reply.clone(),
                                 span,
                             });
                     }
-                    Err(e) => self.answer_floor(
-                        reply,
-                        Decision {
-                            seq,
-                            group: request.group,
-                            outcome: Err(e),
-                            replayed: false,
-                            shard: None,
-                            commit: 0,
-                            epoch: 0,
-                        },
-                    ),
+                    Err(e) => self.answer(reply, Reply::failed(session, seq, group, None, e)),
                 }
             }
             // One queue reservation per shard, still under the read guard so
             // a racing freeze orders before or after the whole batch.
-            let workers = self.workers.read().expect("workers lock");
+            let workers = read(&self.workers);
             for (shard, commands) in per_shard {
                 for rejected in workers[shard.0].push_ingest_many(commands, self.config.overload) {
-                    let ShardCommand::Request {
-                        seq, group, reply, ..
-                    } = rejected
-                    else {
-                        continue;
-                    };
-                    self.telemetry.sheds.incr();
-                    self.answer_floor(
-                        &reply,
-                        Decision {
-                            seq,
-                            group,
-                            outcome: Err(ClusterError::Overloaded(shard)),
-                            replayed: false,
-                            shard: Some(shard),
-                            commit: 0,
-                            epoch: 0,
-                        },
-                    );
-                }
-            }
-        }
-        for (seq, request) in frozen {
-            if let Err(e) = self.submit_as(seq, request, reply.clone()) {
-                self.answer_floor(
-                    reply,
-                    Decision {
-                        seq,
-                        group: request.group,
-                        outcome: Err(e),
-                        replayed: false,
-                        shard: None,
-                        commit: 0,
-                        epoch: 0,
-                    },
-                );
-            }
-        }
-        seqs
-    }
-
-    /// Submits a whole batch of session operations; the vectored twin of
-    /// [`Core::submit_batch_as`] with the same exactly-one-decision-per-id
-    /// contract on the session stream.
-    pub(crate) fn submit_session_batch_as(
-        &self,
-        start_seq: u64,
-        ops: Vec<SessionOp>,
-        reply: &ReplyTo<SessionDecision>,
-    ) -> Vec<u64> {
-        let n = ops.len() as u64;
-        if n == 0 {
-            return Vec::new();
-        }
-        let seqs: Vec<u64> = (start_seq..start_seq + n).collect();
-        let trace_run = self.telemetry.reserve_span_run(n);
-        let mut per_shard: BTreeMap<ShardId, Vec<ShardCommand>> = BTreeMap::new();
-        let mut frozen: Vec<(u64, SessionOp)> = Vec::new();
-        {
-            let parked = self.parked.read().expect("parking lot");
-            for (&seq, op) in seqs.iter().zip(ops) {
-                if parked.contains_key(&op.group) {
-                    frozen.push((seq, op));
-                    continue;
-                }
-                match self.translate_session(&op) {
-                    Ok((placement, event)) => {
-                        let span = self
-                            .telemetry
-                            .begin_span_in_run(trace_run, seq - start_seq, seq, op.kind.label())
-                            .map(|mut span| {
-                                if let ReplyTo::Gateway(handle) = reply {
-                                    span.set_gateway(handle.index());
-                                }
-                                span.stamp(TraceStage::Enqueued);
-                                span
-                            });
-                        per_shard
-                            .entry(placement.shard)
-                            .or_default()
-                            .push(ShardCommand::Session {
-                                seq,
-                                event,
-                                reply: reply.clone(),
-                                span,
-                            });
-                    }
-                    Err(e) => self.answer_session(
-                        reply,
-                        SessionDecision {
-                            seq,
-                            group: op.group,
-                            outcome: Err(e),
-                            replayed: false,
-                            shard: None,
-                            commit: 0,
-                            epoch: 0,
-                        },
-                    ),
-                }
-            }
-            let workers = self.workers.read().expect("workers lock");
-            for (shard, commands) in per_shard {
-                for rejected in workers[shard.0].push_ingest_many(commands, self.config.overload) {
-                    let ShardCommand::Session {
-                        seq, event, reply, ..
-                    } = rejected
-                    else {
-                        continue;
-                    };
-                    self.telemetry.sheds.incr();
-                    self.answer_session(
-                        &reply,
-                        SessionDecision {
-                            seq,
-                            group: event.group,
-                            outcome: Err(ClusterError::Overloaded(shard)),
-                            replayed: false,
-                            shard: Some(shard),
-                            commit: 0,
-                            epoch: 0,
-                        },
-                    );
+                    self.shed(shard, rejected);
                 }
             }
         }
         for (seq, op) in frozen {
-            let group = op.group;
-            if let Err(e) = self.submit_session_as(seq, op, reply.clone()) {
-                self.answer_session(
-                    reply,
-                    SessionDecision {
-                        seq,
-                        group,
-                        outcome: Err(e),
-                        replayed: false,
-                        shard: None,
-                        commit: 0,
-                        epoch: 0,
-                    },
-                );
+            let (group, session) = (op.group(), op.is_session());
+            if let Err(e) = self.submit_as(seq, op, reply.clone()) {
+                self.answer(reply, Reply::failed(session, seq, group, None, e));
             }
         }
         seqs
@@ -1229,7 +946,7 @@ impl Core {
         group: GroupId,
     ) -> Result<MemberId> {
         let stripe = self.directory.member_stripe(member);
-        let mut guard = stripe.write().expect("member stripe");
+        let mut guard = write(stripe);
         let record: &mut MemberRecord = guard
             .get_mut(&member)
             .ok_or(ClusterError::UnknownMember(member))?;
@@ -1270,7 +987,7 @@ impl Core {
         // paths; the read guard stays held across the worker round-trip so
         // a freeze racing this join must wait until the mutation is ordered
         // before the handoff's prepare command (and thus in the export).
-        let parked = self.parked.read().expect("parking lot");
+        let parked = read(&self.parked);
         if parked.contains_key(&group) {
             return Err(ClusterError::GroupFrozen(group));
         }
@@ -1283,7 +1000,7 @@ impl Core {
     pub(crate) fn leave_group(&self, group: GlobalGroupId, member: GlobalMemberId) -> Result<()> {
         // Mirrors `join_group`: a leave slipping into the frozen window
         // would be resurrected by the commit's install on the destination.
-        let parked = self.parked.read().expect("parking lot");
+        let parked = read(&self.parked);
         if parked.contains_key(&group) {
             return Err(ClusterError::GroupFrozen(group));
         }
@@ -1400,7 +1117,8 @@ impl Core {
     /// caught-up one is promoted (tail-catch-up), otherwise the standby
     /// replays snapshot-plus-log-suffix.
     pub(crate) fn recover_shard(&self, shard: ShardId) -> Result<()> {
-        self.with_shard_replicas(shard, |s, r| r.promote(s))
+        // Promotion needs both halves: the shard and its replica set.
+        self.control(shard, ShardCommand::With, |s, r| r.promote(s))
     }
 
     pub(crate) fn is_shard_active(&self, shard: ShardId) -> bool {
@@ -1442,7 +1160,7 @@ impl Core {
     }
 
     pub(crate) fn add_shard(&self) -> ShardId {
-        let mut workers = self.workers.write().expect("workers lock");
+        let mut workers = write(&self.workers);
         let id = self.directory.grow_ring();
         debug_assert_eq!(id.0, workers.len());
         let mut shard = Shard::new(id, self.config.snapshot_every, self.config.dedup_window);
@@ -1562,7 +1280,7 @@ impl Core {
     /// caller must then back off *without* unfreezing, or it would clobber
     /// the in-flight handoff's freeze (and strand or leak its parked ops).
     fn freeze_routing(&self, group: GlobalGroupId) -> bool {
-        let mut parked = self.parked.write().expect("parking lot");
+        let mut parked = write(&self.parked);
         if parked.contains_key(&group) {
             return false;
         }
@@ -1586,98 +1304,17 @@ impl Core {
     /// the same reason every submit-side wait is: the worker draining the
     /// queue never takes routing locks, so it always makes progress.
     fn unfreeze_and_redrive(&self, group: GlobalGroupId) {
-        let mut parked = self.parked.write().expect("parking lot");
-        for op in parked.remove(&group).unwrap_or_default() {
+        let mut parked = write(&self.parked);
+        for ParkedOp { seq, op, reply } in parked.remove(&group).unwrap_or_default() {
             self.telemetry.redriven.incr();
-            match op {
-                ParkedOp::Floor {
-                    seq,
-                    request,
-                    reply,
-                } => match self.translate(&request) {
-                    Ok((placement, local)) => {
-                        let workers = self.workers.read().expect("workers lock");
-                        // Re-driven ops never carry a span: the frozen wait
-                        // would dominate the pipeline-stage intervals the
-                        // latency histograms are meant to measure.
-                        let command = ShardCommand::Request {
-                            seq,
-                            group: request.group,
-                            request: local,
-                            reply,
-                            span: None,
-                        };
-                        if let Err(ShardCommand::Request { reply, .. }) =
-                            workers[placement.shard.0].push_ingest(command, self.config.overload)
-                        {
-                            self.telemetry.sheds.incr();
-                            self.answer_floor(
-                                &reply,
-                                Decision {
-                                    seq,
-                                    group: request.group,
-                                    outcome: Err(ClusterError::Overloaded(placement.shard)),
-                                    replayed: false,
-                                    shard: Some(placement.shard),
-                                    commit: 0,
-                                    epoch: 0,
-                                },
-                            );
-                        }
-                    }
-                    Err(e) => self.answer_floor(
-                        &reply,
-                        Decision {
-                            seq,
-                            group: request.group,
-                            outcome: Err(e),
-                            replayed: false,
-                            shard: None,
-                            commit: 0,
-                            epoch: 0,
-                        },
-                    ),
-                },
-                ParkedOp::Session { seq, op, reply } => match self.translate_session(&op) {
-                    Ok((placement, event)) => {
-                        let workers = self.workers.read().expect("workers lock");
-                        let command = ShardCommand::Session {
-                            seq,
-                            event,
-                            reply,
-                            span: None,
-                        };
-                        if let Err(ShardCommand::Session { reply, .. }) =
-                            workers[placement.shard.0].push_ingest(command, self.config.overload)
-                        {
-                            self.telemetry.sheds.incr();
-                            self.answer_session(
-                                &reply,
-                                SessionDecision {
-                                    seq,
-                                    group: op.group,
-                                    outcome: Err(ClusterError::Overloaded(placement.shard)),
-                                    replayed: false,
-                                    shard: Some(placement.shard),
-                                    commit: 0,
-                                    epoch: 0,
-                                },
-                            );
-                        }
-                    }
-                    Err(e) => self.answer_session(
-                        &reply,
-                        SessionDecision {
-                            seq,
-                            group: op.group,
-                            outcome: Err(e),
-                            replayed: false,
-                            shard: None,
-                            commit: 0,
-                            epoch: 0,
-                        },
-                    ),
-                },
+            let session = op.is_session();
+            let routed = self.directory.placement(group);
+            // Re-driven ops never carry a span: the frozen wait would
+            // dominate the pipeline-stage intervals the latency histograms
+            // are meant to measure.
+            match routed.and_then(|p| self.localize(op, p)) {
+                Ok((shard, op)) => self.enqueue(shard, seq, op, reply, None),
+                Err(e) => self.answer(&reply, Reply::failed(session, seq, group, None, e)),
             }
         }
     }
@@ -1975,7 +1612,9 @@ impl Core {
 #[derive(Debug)]
 pub struct Cluster {
     core: Arc<Core>,
-    gateway: Gateway,
+    /// The façade's own gateway (the network simulator's shard hosts apply
+    /// ops through it too).
+    pub(crate) gateway: Gateway,
     /// Requests submitted through this façade whose decisions have not been
     /// collected by a flush yet.
     pending: usize,
@@ -2187,7 +1826,7 @@ impl Cluster {
 
     /// Routes a request to its owning shard's worker queue and returns its
     /// request id. The decision streams back asynchronously; collect it with
-    /// [`Cluster::flush`] / [`Cluster::flush_parallel`].
+    /// [`Cluster::flush`].
     ///
     /// # Errors
     ///
@@ -2395,13 +2034,6 @@ impl Cluster {
             .expect("shard pipelines are alive");
         self.pending = 0;
         decisions
-    }
-
-    /// Alias of [`Cluster::flush`], kept for pre-pipeline call sites: shards
-    /// always work in parallel behind their queues now, so there is no
-    /// separate parallel path to opt into.
-    pub fn flush_parallel(&mut self) -> Vec<Decision> {
-        self.flush()
     }
 
     // ----- failure and recovery --------------------------------------------
@@ -2746,7 +2378,7 @@ mod tests {
         let seq_decisions = sequential.flush();
         let (mut parallel, gids, rosters) = build();
         submit_all(&mut parallel, &gids, &rosters);
-        let par_decisions = parallel.flush_parallel();
+        let par_decisions = parallel.flush();
         // `commit` is the group-commit batch boundary a decision released
         // under — a durability position, deliberately timing-dependent — so
         // equivalence is over everything but it.
@@ -3057,6 +2689,12 @@ mod tests {
         let parked_session = gateway
             .submit_session(SessionOp::chat(group, rosters[idx][0], "mid-handoff"))
             .unwrap();
+        // A parked pair whose outcome depends on its cross-kind order: the
+        // holder releases the floor, *then* chats.
+        let parked_pair = gateway.submit_ops(vec![
+            Op::Floor(GlobalRequest::release_floor(group, rosters[idx][0])),
+            Op::Session(SessionOp::chat(group, rosters[idx][0], "after release")),
+        ]);
         assert!(gateway.try_recv_decision().is_none(), "frozen: parked");
 
         cluster.handoff_commit(ticket).unwrap();
@@ -3075,9 +2713,41 @@ mod tests {
         let session_decision = gateway.recv_session_decision().unwrap();
         assert_eq!(session_decision.seq, parked_session);
         assert!(session_decision.outcome.unwrap().is_delivered());
+        // Arrival order held across the frozen window and across kinds: the
+        // release reached the new owner before the chat behind it, which
+        // therefore found the floor already passed on to the student.
+        let release = gateway.recv_decision().unwrap();
+        assert_eq!(release.seq, parked_pair[0]);
+        assert!(release.outcome.unwrap().is_granted());
+        let late_chat = gateway.recv_session_decision().unwrap();
+        assert_eq!(late_chat.seq, parked_pair[1]);
+        assert_eq!(
+            *late_chat.outcome.unwrap(),
+            SessionOutcome::Rejected {
+                reason: crate::SessionRejection::FloorDenied
+            }
+        );
         assert_eq!(cluster.session_view(group).unwrap().chat.len(), 1);
         // The source husk is empty and unfrozen; its view reflects that.
         assert_eq!(cluster.shard_view(source).frozen_groups, 0);
+        cluster.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn poisoned_routing_locks_do_not_take_submissions_down() {
+        let (mut cluster, gids, rosters) = cluster_with_groups(2, 2, 1, FcmMode::EqualControl);
+        let core = cluster.core.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _guard = core.parked.write().unwrap();
+            panic!("a gateway thread dies holding the parking lot");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(cluster.core.parked.is_poisoned());
+        // Both routing paths still take the lock and still get decisions.
+        let speak = GlobalRequest::speak(gids[0], rosters[0][0]);
+        assert!(cluster.request(speak).unwrap().is_granted());
+        cluster.submit_batch(&[GlobalRequest::speak(gids[1], rosters[1][0])]);
+        assert!(cluster.flush()[0].outcome.as_ref().unwrap().is_granted());
         cluster.check_invariants().unwrap();
     }
 

@@ -2,29 +2,42 @@
 //!
 //! A [`Gateway`] is the multi-gateway face of the control plane: it shares
 //! the cluster's [`Directory`](crate::Directory) and bounded shard worker
-//! queues through an `Arc`, but owns a private results stream that decisions
-//! for *its* submissions come back on. Cloning a gateway is two channel
-//! allocations, one registry slot and an `Arc` bump — hand one clone to
-//! every front-end thread and they all ingest concurrently:
+//! queues through an `Arc`, but owns a private reply channel that decisions
+//! for *its* submissions come back on. Cloning a gateway is one channel
+//! allocation, one registry slot and an `Arc` bump — hand one clone to
+//! every front-end thread and they all ingest concurrently.
 //!
-//! * [`Gateway::submit`] routes a request (read-mostly directory lookups,
-//!   one bounded-queue push) and returns its cluster-unique request id. The
-//!   submit path itself performs **no per-request heap allocation**: the id
-//!   comes from a leased block
+//! Floor requests and session operations (chat lines, whiteboard strokes,
+//! annotations, synchronized-media schedules) are one [`Op`] to a gateway:
+//! they share its request-id space, one scalar and one vectored submit path,
+//! the owning shard's FIFO queue — so a group's ops are applied in
+//! submission order whatever their kinds, content floor-gated against the
+//! requests before it — and one reply channel. The typed methods are views
+//! of that one path:
+//!
+//! * [`Gateway::submit`] / [`Gateway::submit_session`] route one op
+//!   (read-mostly directory lookups, one bounded-queue push) and return its
+//!   cluster-unique request id. The submit path itself performs **no
+//!   per-request heap allocation**: the id comes from a leased block
 //!   ([`ClusterConfig::seq_lease`](crate::ClusterConfig::seq_lease)) instead
 //!   of a shared atomic, and the command carries a small copyable reply
 //!   handle instead of a cloned channel sender.
-//! * [`Gateway::submit_batch`] is the vectored form: one id-lease, one
+//! * [`Gateway::submit_batch`] / [`Gateway::submit_session_batch`] /
+//!   [`Gateway::submit_ops`] are the vectored form — one id-lease, one
 //!   directory pass and one queue reservation per owning shard for a whole
-//!   slice of requests.
-//! * [`Gateway::recv_decision`] / [`Gateway::collect_decisions`] stream the
-//!   decisions back (workers deliver them coalesced per batch; the gateway
-//!   unpacks transparently), each tagged with the request id and whether it
-//!   was replayed from a shard's dedup window.
-//! * [`Gateway::resubmit`] retries a request under its original id — the
-//!   retransmission path after a shard crash *or* after a shed
-//!   ([`ClusterError::Overloaded`]). The owning shard's dedup window
-//!   guarantees an already-applied event is answered from the decision
+//!   batch; `submit_ops` takes the kinds interleaved.
+//! * [`Gateway::recv_decision`] / [`Gateway::collect_decisions`] and
+//!   [`Gateway::recv_session_decision`] stream the [`Decision`]s and
+//!   [`SessionDecision`]s back, each tagged with the request id and whether
+//!   it was replayed from a shard's dedup window. Workers deliver replies
+//!   coalesced per batch; the gateway sorts them onto the two typed streams,
+//!   so waiting on one never loses the other's decisions. (A `&Gateway`
+//!   shared between threads serializes their receives; the intended pattern
+//!   is one clone per thread.)
+//! * [`Gateway::resubmit`] / [`Gateway::resubmit_session`] retry an op under
+//!   its original id — the retransmission path after a shard crash *or*
+//!   after a shed ([`ClusterError::Overloaded`]). The owning shard's dedup
+//!   window guarantees an already-applied op is answered from the decision
 //!   journal instead of double-applying.
 //!
 //! Backpressure: every shard's ingest queue is bounded
@@ -34,15 +47,6 @@
 //! `submit` wait for space (lossless), `Shed` answers the submission with
 //! [`ClusterError::Overloaded`] on this gateway's decision stream, so a
 //! storm can never exhaust memory and never loses a request silently.
-//!
-//! Session traffic — the non-floor half of a DMPS presentation session —
-//! rides the same pipelines: [`Gateway::submit_session`] /
-//! [`Gateway::submit_session_batch`] route chat lines, whiteboard strokes,
-//! annotations and synchronized-media schedules to the shard owning the
-//! group, where they are floor-gated, durably group-committed, and answered
-//! with [`SessionDecision`]s on this gateway's private session stream
-//! ([`Gateway::recv_session_decision`]). [`Gateway::resubmit_session`] is
-//! the exactly-once retry path, mirroring [`Gateway::resubmit`].
 //!
 //! Reads scale out with replication: when
 //! [`ClusterConfig::replicas`](crate::ClusterConfig::replicas) is non-zero,
@@ -106,48 +110,50 @@ use crate::cluster::{Core, Decision, GlobalRequest};
 use crate::directory::{ClusterInvitation, GroupPlacement};
 use crate::error::{ClusterError, Result};
 use crate::instrument::GatewayMetrics;
+use crate::op::{Op, Reply};
+use crate::poison::lock;
 use crate::queue::QueueStats;
 use crate::ring::ShardId;
 use crate::session::{GroupSession, SessionDecision, SessionOp, SessionOutcome};
 use crate::shard::{GlobalGroupId, GlobalMemberId};
 use crate::worker::{ReplyHandle, ReplyTo};
 
-/// A decision stream: workers deliver decisions coalesced (one `Vec` per
-/// gateway per drained batch); the buffer unpacks them one at a time.
+/// This gateway's end of its one reply channel. Workers deliver replies
+/// coalesced (one `Vec` per gateway per drained batch, floor and session
+/// decisions together); the inbox unpacks them onto the two typed lanes the
+/// `recv*` methods read, so either lane can be awaited without losing the
+/// other's decisions.
 #[derive(Debug)]
-struct Stream<T> {
-    rx: Receiver<Vec<T>>,
-    buf: VecDeque<T>,
+struct Inbox {
+    rx: Receiver<Vec<Reply>>,
+    floor: VecDeque<Decision>,
+    session: VecDeque<SessionDecision>,
 }
 
-impl<T> Stream<T> {
-    fn new(rx: Receiver<Vec<T>>) -> Self {
-        Stream {
-            rx,
-            buf: VecDeque::new(),
-        }
-    }
+/// Picks one of an [`Inbox`]'s typed lanes.
+type Lane<T> = fn(&mut Inbox) -> &mut VecDeque<T>;
+const FLOOR: Lane<Decision> = |inbox| &mut inbox.floor;
+const SESSION: Lane<SessionDecision> = |inbox| &mut inbox.session;
 
-    fn next_blocking(&mut self) -> Option<T> {
+impl Inbox {
+    /// The next decision on `lane`, receiving (and sorting onto both lanes)
+    /// further reply batches until one shows up: blocking for them when
+    /// `block`, else only taking what has already been delivered.
+    fn next<T>(&mut self, lane: Lane<T>, block: bool) -> Option<T> {
         loop {
-            if let Some(value) = self.buf.pop_front() {
-                return Some(value);
+            if let Some(decision) = lane(self).pop_front() {
+                return Some(decision);
             }
-            match self.rx.recv() {
-                Ok(batch) => self.buf.extend(batch),
-                Err(_) => return None,
-            }
-        }
-    }
-
-    fn next_ready(&mut self) -> Option<T> {
-        loop {
-            if let Some(value) = self.buf.pop_front() {
-                return Some(value);
-            }
-            match self.rx.try_recv() {
-                Ok(batch) => self.buf.extend(batch),
-                Err(_) => return None,
+            let batch = if block {
+                self.rx.recv().ok()?
+            } else {
+                self.rx.try_recv().ok()?
+            };
+            for reply in batch {
+                match reply {
+                    Reply::Floor(decision) => self.floor.push_back(decision),
+                    Reply::Session(decision) => self.session.push_back(decision),
+                }
             }
         }
     }
@@ -174,8 +180,7 @@ pub struct Gateway {
     /// Behind a (virtually always uncontended) mutex only so a `&Gateway`
     /// can be shared across scoped threads; the intended pattern is still
     /// one clone per thread.
-    decisions: Mutex<Stream<Decision>>,
-    sessions: Mutex<Stream<SessionDecision>>,
+    inbox: Mutex<Inbox>,
     /// The current request-id lease (empty until the first submission).
     lease: Mutex<SeqLease>,
     /// This gateway's submit-side instruments (`gateway.N.*`), pre-resolved
@@ -206,15 +211,17 @@ impl Drop for Gateway {
 
 impl Gateway {
     pub(crate) fn new(core: Arc<Core>) -> Self {
-        let (decisions_tx, decisions_rx) = channel();
-        let (sessions_tx, sessions_rx) = channel();
-        let handle = core.registry().register(decisions_tx, sessions_tx);
+        let (tx, rx) = channel();
+        let handle = core.registry().register(tx);
         let metrics = core.telemetry().gateway(handle.index());
         Gateway {
             core,
             handle,
-            decisions: Mutex::new(Stream::new(decisions_rx)),
-            sessions: Mutex::new(Stream::new(sessions_rx)),
+            inbox: Mutex::new(Inbox {
+                rx,
+                floor: VecDeque::new(),
+                session: VecDeque::new(),
+            }),
             lease: Mutex::new(SeqLease { next: 0, end: 0 }),
             metrics,
             watermarks: Mutex::new(Vec::new()),
@@ -230,7 +237,7 @@ impl Gateway {
             return;
         }
         let Some(shard) = shard else { return };
-        let mut marks = self.watermarks.lock().expect("watermark lock");
+        let mut marks = lock(&self.watermarks);
         let index = shard.0;
         if marks.len() <= index {
             marks.resize(index + 1, 0);
@@ -243,27 +250,21 @@ impl Gateway {
     /// This gateway's current read bound for a shard: the highest commit
     /// sequence it has observed there (0 before any acked write).
     fn read_bound(&self, shard: ShardId) -> u64 {
-        let marks = self.watermarks.lock().expect("watermark lock");
+        let marks = lock(&self.watermarks);
         marks.get(shard.0).copied().unwrap_or(0)
     }
 
-    /// Allocates a request id from this gateway's lease, refilling the lease
-    /// from the shared counter only once per
-    /// [`ClusterConfig::seq_lease`](crate::ClusterConfig::seq_lease) ids.
-    /// Ids stay monotone per gateway, so decision ordering by id still
-    /// equals submission order on each gateway.
-    fn alloc_seq(&self) -> u64 {
-        self.alloc_seq_run(1)
-    }
-
     /// Allocates `n` contiguous request ids from this gateway's lease,
-    /// returning the first. When the lease cannot cover the run, its
-    /// remainder is discarded and a fresh block (covering at least the run)
-    /// is leased — per-gateway monotonicity is the contract
+    /// returning the first; the lease refills from the shared counter only
+    /// once per [`ClusterConfig::seq_lease`](crate::ClusterConfig::seq_lease)
+    /// ids. When the lease cannot cover the run, its remainder is discarded
+    /// and a fresh block (covering at least the run) is leased — ids stay
+    /// monotone per gateway, so decision ordering by id still equals
+    /// submission order on each gateway, and that is the contract
     /// `collect_decisions`/`flush` ordering rests on, so a batch must never
     /// hand out newer ids while older lease ids are still unspent behind it.
     fn alloc_seq_run(&self, n: u64) -> u64 {
-        let mut lease = self.lease.lock().expect("seq lease");
+        let mut lease = lock(&self.lease);
         if lease.end - lease.next < n {
             let block = n.max(self.core.config().seq_lease.max(1));
             let start = self.core.directory().alloc_seq_block(block);
@@ -288,10 +289,53 @@ impl Gateway {
     ///
     /// Returns unknown-id errors when the request cannot be routed.
     pub fn submit(&self, request: GlobalRequest) -> Result<u64> {
-        let seq = self.alloc_seq();
+        self.submit_op(Op::Floor(request))
+    }
+
+    /// The one scalar submit: a fresh id from the lease, then the routing
+    /// layer's single path.
+    fn submit_op(&self, op: Op) -> Result<u64> {
+        let seq = self.alloc_seq_run(1);
         self.core
-            .submit_as(seq, request, ReplyTo::Gateway(self.handle))?;
+            .submit_as(seq, op, ReplyTo::Gateway(self.handle))?;
         Ok(seq)
+    }
+
+    /// The one retry: the same path under the op's original id.
+    fn resubmit_op(&self, seq: u64, op: Op) -> Result<()> {
+        self.metrics.retries.incr();
+        self.core.submit_as(seq, op, ReplyTo::Gateway(self.handle))
+    }
+
+    /// The one vectored submit behind [`Gateway::submit_batch`],
+    /// [`Gateway::submit_session_batch`] and [`Gateway::submit_ops`].
+    fn submit_run(&self, ops: impl ExactSizeIterator<Item = Op>) -> Vec<u64> {
+        if ops.len() == 0 {
+            return Vec::new();
+        }
+        self.metrics.batch_size.record(ops.len() as u64);
+        // Ids come through this gateway's lease (not a separate directory
+        // block), so interleaved scalar and batched submissions stay
+        // monotone per gateway.
+        let start = self.alloc_seq_run(ops.len() as u64);
+        self.core
+            .submit_batch_as(start, ops, &ReplyTo::Gateway(self.handle))
+    }
+
+    /// Routes a batch of ops of any kinds — floor requests and session
+    /// operations interleaved — with the amortized costs of
+    /// [`Gateway::submit_batch`], returning their (contiguous) ids in
+    /// submission order. A group's ops reach its shard in exactly that
+    /// order, so content is admitted against the floor state the requests
+    /// *before it in the batch* left behind: `[chat, speak, chat]` from a
+    /// member who does not hold an Equal Control token is refused, granted,
+    /// delivered.
+    ///
+    /// Each id resolves to exactly one decision on the stream of its kind
+    /// ([`Gateway::recv_decision`] / [`Gateway::recv_session_decision`]),
+    /// with the per-op error contract of [`Gateway::submit_batch`].
+    pub fn submit_ops(&self, ops: Vec<Op>) -> Vec<u64> {
+        self.submit_run(ops.into_iter())
     }
 
     /// Routes a whole batch of requests with amortized costs — one
@@ -305,16 +349,7 @@ impl Gateway {
     /// [`ClusterError::Overloaded`] on a shed), so
     /// `collect_decisions(seqs.len())` always accounts exactly.
     pub fn submit_batch(&self, requests: &[GlobalRequest]) -> Vec<u64> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        self.metrics.batch_size.record(requests.len() as u64);
-        // Ids come through this gateway's lease (not a separate directory
-        // block), so interleaved `submit` and `submit_batch` calls stay
-        // monotone per gateway.
-        let start = self.alloc_seq_run(requests.len() as u64);
-        self.core
-            .submit_batch_as(start, requests, &ReplyTo::Gateway(self.handle))
+        self.submit_run(requests.iter().map(|&request| Op::Floor(request)))
     }
 
     /// Retries a request under its original id (gateway retransmission). If
@@ -326,9 +361,15 @@ impl Gateway {
     ///
     /// Returns unknown-id errors when the request cannot be routed.
     pub fn resubmit(&self, seq: u64, request: GlobalRequest) -> Result<()> {
-        self.metrics.retries.incr();
-        self.core
-            .submit_as(seq, request, ReplyTo::Gateway(self.handle))
+        self.resubmit_op(seq, Op::Floor(request))
+    }
+
+    /// The next decision on one of the inbox's lanes, folded into this
+    /// gateway's read-your-writes watermark.
+    fn take<O>(&self, lane: Lane<Decision<O>>, block: bool) -> Option<Decision<O>> {
+        let decision = lock(&self.inbox).next(lane, block)?;
+        self.observe_commit(decision.shard, decision.commit);
+        Some(decision)
     }
 
     /// Blocks until the next decision for one of this gateway's submissions
@@ -339,25 +380,12 @@ impl Gateway {
     /// Returns [`ClusterError::Disconnected`] when the shard pipelines are
     /// gone (the cluster was torn down).
     pub fn recv_decision(&self) -> Result<Decision> {
-        let decision = self
-            .decisions
-            .lock()
-            .expect("decision stream lock")
-            .next_blocking()
-            .ok_or(ClusterError::Disconnected)?;
-        self.observe_commit(decision.shard, decision.commit);
-        Ok(decision)
+        self.take(FLOOR, true).ok_or(ClusterError::Disconnected)
     }
 
     /// The next already-delivered decision, if any (never blocks).
     pub fn try_recv_decision(&self) -> Option<Decision> {
-        let decision = self
-            .decisions
-            .lock()
-            .expect("decision stream lock")
-            .next_ready()?;
-        self.observe_commit(decision.shard, decision.commit);
-        Some(decision)
+        self.take(FLOOR, false)
     }
 
     /// Collects exactly `n` decisions (blocking), sorted by request id.
@@ -369,9 +397,9 @@ impl Gateway {
     pub fn collect_decisions(&self, n: usize) -> Result<Vec<Decision>> {
         let mut decisions = Vec::with_capacity(n);
         {
-            let mut stream = self.decisions.lock().expect("decision stream lock");
+            let mut inbox = lock(&self.inbox);
             for _ in 0..n {
-                decisions.push(stream.next_blocking().ok_or(ClusterError::Disconnected)?);
+                decisions.push(inbox.next(FLOOR, true).ok_or(ClusterError::Disconnected)?);
             }
         }
         for d in &decisions {
@@ -389,7 +417,7 @@ impl Gateway {
     /// Returns routing and shard errors, including
     /// [`ClusterError::Overloaded`] when the owning shard shed the request.
     pub fn request(&self, request: GlobalRequest) -> Result<ArbitrationOutcome> {
-        self.request_as(self.alloc_seq(), request)
+        self.request_as(self.alloc_seq_run(1), request)
             .map(|(outcome, _)| outcome)
     }
 
@@ -403,9 +431,24 @@ impl Gateway {
         seq: u64,
         request: GlobalRequest,
     ) -> Result<(ArbitrationOutcome, bool)> {
-        let decision = self.core.request_raw(seq, request)?;
-        self.observe_commit(decision.shard, decision.commit);
+        let Reply::Floor(decision) = self.apply_as(seq, Op::Floor(request))? else {
+            unreachable!("a floor request is answered with a floor decision");
+        };
         decision.outcome.map(|o| ((*o).clone(), decision.replayed))
+    }
+
+    /// Synchronously applies one op under a caller-provided id and returns
+    /// its whole reply, folding the released commit position into this
+    /// gateway's read bound — what [`Gateway::request_as`],
+    /// [`Gateway::session_as`] and the network simulator's shard hosts are
+    /// views of.
+    pub(crate) fn apply_as(&self, seq: u64, op: Op) -> Result<Reply> {
+        let reply = self.core.request_raw(seq, op)?;
+        match &reply {
+            Reply::Floor(d) => self.observe_commit(d.shard, d.commit),
+            Reply::Session(d) => self.observe_commit(d.shard, d.commit),
+        }
+        Ok(reply)
     }
 
     // ----- session operations -----------------------------------------------
@@ -420,23 +463,14 @@ impl Gateway {
     ///
     /// Returns unknown-id errors when the operation cannot be routed.
     pub fn submit_session(&self, op: SessionOp) -> Result<u64> {
-        let seq = self.alloc_seq();
-        self.core
-            .submit_session_as(seq, op, ReplyTo::Gateway(self.handle))?;
-        Ok(seq)
+        self.submit_op(Op::Session(op))
     }
 
     /// Routes a whole batch of session operations — the vectored twin of
     /// [`Gateway::submit_batch`], with the same exactly-one-decision-per-id
     /// contract on the session stream.
     pub fn submit_session_batch(&self, ops: Vec<SessionOp>) -> Vec<u64> {
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        self.metrics.batch_size.record(ops.len() as u64);
-        let start = self.alloc_seq_run(ops.len() as u64);
-        self.core
-            .submit_session_batch_as(start, ops, &ReplyTo::Gateway(self.handle))
+        self.submit_run(ops.into_iter().map(Op::Session))
     }
 
     /// Retries a session operation under its original id (gateway
@@ -448,9 +482,7 @@ impl Gateway {
     ///
     /// Returns unknown-id errors when the operation cannot be routed.
     pub fn resubmit_session(&self, seq: u64, op: SessionOp) -> Result<()> {
-        self.metrics.retries.incr();
-        self.core
-            .submit_session_as(seq, op, ReplyTo::Gateway(self.handle))
+        self.resubmit_op(seq, Op::Session(op))
     }
 
     /// Blocks until the next session decision for one of this gateway's
@@ -461,25 +493,12 @@ impl Gateway {
     /// Returns [`ClusterError::Disconnected`] when the shard pipelines are
     /// gone (the cluster was torn down).
     pub fn recv_session_decision(&self) -> Result<SessionDecision> {
-        let decision = self
-            .sessions
-            .lock()
-            .expect("session stream lock")
-            .next_blocking()
-            .ok_or(ClusterError::Disconnected)?;
-        self.observe_commit(decision.shard, decision.commit);
-        Ok(decision)
+        self.take(SESSION, true).ok_or(ClusterError::Disconnected)
     }
 
     /// The next already-delivered session decision, if any (never blocks).
     pub fn try_recv_session_decision(&self) -> Option<SessionDecision> {
-        let decision = self
-            .sessions
-            .lock()
-            .expect("session stream lock")
-            .next_ready()?;
-        self.observe_commit(decision.shard, decision.commit);
-        Some(decision)
+        self.take(SESSION, false)
     }
 
     /// Submits and synchronously applies one session operation, bypassing
@@ -491,7 +510,7 @@ impl Gateway {
     /// [`ClusterError::Overloaded`] when the owning shard shed the
     /// operation.
     pub fn session(&self, op: SessionOp) -> Result<SessionOutcome> {
-        self.session_as(self.alloc_seq(), op)
+        self.session_as(self.alloc_seq_run(1), op)
             .map(|(outcome, _)| outcome)
     }
 
@@ -499,8 +518,9 @@ impl Gateway {
     /// the released decision's commit position into this gateway's read
     /// bound — the session twin of [`Gateway::request_as`].
     pub(crate) fn session_as(&self, seq: u64, op: SessionOp) -> Result<(SessionOutcome, bool)> {
-        let decision = self.core.session_raw(seq, op)?;
-        self.observe_commit(decision.shard, decision.commit);
+        let Reply::Session(decision) = self.apply_as(seq, Op::Session(op))? else {
+            unreachable!("a session op is answered with a session decision");
+        };
         decision.outcome.map(|o| ((*o).clone(), decision.replayed))
     }
 
@@ -863,6 +883,69 @@ mod tests {
             .enumerate()
             .all(|(i, (_, line))| line == &format!("line {i}")));
         cluster.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn mixed_batch_keeps_cross_kind_order_within_a_group() {
+        // [chat, speak, chat, release, chat] from a non-chair of an Equal
+        // Control group, as one `submit_ops` batch and — on a fresh cluster —
+        // one synchronous op at a time. Floor outcomes left, chats right.
+        type Either = std::result::Result<ArbitrationOutcome, SessionOutcome>;
+        let run = |batched: bool| -> Vec<Either> {
+            let cluster = Cluster::new(ClusterConfig::with_shards(2));
+            let gw = cluster.gateway();
+            let g = gw.create_group("seminar", FcmMode::EqualControl).unwrap();
+            let chair = gw.register_member(Member::new("chair", Role::Chair));
+            let student = gw.register_member(Member::new("s", Role::Participant));
+            gw.join_group(g, chair).unwrap();
+            gw.join_group(g, student).unwrap();
+            let chat = |text: &str| Op::Session(SessionOp::chat(g, student, text));
+            let ops = vec![
+                chat("before the grant"),
+                Op::Floor(GlobalRequest::speak(g, student)),
+                chat("holding the token"),
+                Op::Floor(GlobalRequest::release_floor(g, student)),
+                chat("after the release"),
+            ];
+            if !batched {
+                let apply = |op| match op {
+                    Op::Floor(request) => Ok(gw.request(request).unwrap()),
+                    Op::Session(op) => Err(gw.session(op).unwrap()),
+                };
+                return ops.into_iter().map(apply).collect();
+            }
+            let seqs = gw.submit_ops(ops.clone());
+            assert!(seqs.windows(2).all(|w| w[0] + 1 == w[1]), "contiguous ids");
+            // Each decision is on the stream of its kind, in id order there.
+            let recv = |(op, seq): (&Op, &u64)| match op {
+                Op::Floor(_) => {
+                    let decision = gw.recv_decision().unwrap();
+                    assert_eq!(decision.seq, *seq);
+                    Ok((*decision.outcome.unwrap()).clone())
+                }
+                Op::Session(_) => {
+                    let decision = gw.recv_session_decision().unwrap();
+                    assert_eq!(decision.seq, *seq);
+                    Err((*decision.outcome.unwrap()).clone())
+                }
+            };
+            let outcomes = ops.iter().zip(&seqs).map(recv).collect();
+            cluster.check_invariants().unwrap();
+            outcomes
+        };
+        let batched = run(true);
+        let denied = SessionOutcome::Rejected {
+            reason: crate::SessionRejection::FloorDenied,
+        };
+        assert_eq!(batched[0], Err(denied.clone()), "no token yet");
+        assert!(batched[1].as_ref().is_ok_and(|o| o.is_granted()));
+        assert!(
+            batched[2].as_ref().is_err_and(|o| o.is_delivered()),
+            "holder"
+        );
+        assert!(batched[3].as_ref().is_ok_and(|o| o.is_granted()));
+        assert_eq!(batched[4], Err(denied), "token released");
+        assert_eq!(batched, run(false), "a batch decides like one op at a time");
     }
 
     #[test]

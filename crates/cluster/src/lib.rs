@@ -42,8 +42,13 @@
 //!   leased blocks ([`ClusterConfig::seq_lease`]) instead of a shared
 //!   atomic, and commands carry a small registry handle instead of a cloned
 //!   channel sender. [`Gateway::submit_batch`] /
-//!   [`Gateway::submit_session_batch`] route a whole slice with one id
-//!   lease, one directory pass and one queue reservation per shard.
+//!   [`Gateway::submit_session_batch`] / [`Gateway::submit_ops`] route a
+//!   whole batch with one id lease, one directory pass and one queue
+//!   reservation per shard.
+//! * **One op, one pipeline** ([`op`]) — a floor request and a piece of
+//!   session content are both an [`Op`]: one request-id space, one routing
+//!   path, one shard queue (so a group's ops apply in submission order
+//!   whatever their kinds) and one [`Reply`] channel back.
 //! * **Sessions** ([`session`]) — the content plane of a DMPS presentation
 //!   session runs sharded too: every group carries its chat / whiteboard /
 //!   annotation logs and synchronized-media schedule ([`GroupSession`]) on
@@ -120,9 +125,8 @@
 //!
 //! The single-caller [`Cluster`] façade keeps the pre-pipeline API
 //! (`submit`/`flush`/`request`, `&mut self`) so existing call sites migrate
-//! mechanically; `flush` and `flush_parallel` both just await the façade's
-//! outstanding decisions, because shards now always work in parallel behind
-//! their queues.
+//! mechanically; `flush` just awaits the façade's outstanding decisions,
+//! because shards always work in parallel behind their queues.
 //!
 //! ## Example: concurrent multi-gateway ingest
 //!
@@ -165,6 +169,8 @@ pub mod directory;
 pub mod error;
 pub mod gateway;
 mod instrument;
+pub mod op;
+mod poison;
 pub mod queue;
 mod replication;
 pub mod ring;
@@ -189,6 +195,7 @@ pub use cluster::{
 pub use directory::{ClusterInvitation, Directory, GroupPlacement};
 pub use error::{ClusterError, Result};
 pub use gateway::Gateway;
+pub use op::{Op, Reply};
 pub use queue::{OverloadPolicy, QueueStats};
 pub use ring::{HashRing, ShardId};
 pub use session::{

@@ -1,0 +1,25 @@
+//! Poison-tolerant lock accessors for the routing layer.
+//!
+//! A `std` lock is poisoned when a thread panics while holding it, and every
+//! later `lock()` / `read()` / `write()` then fails — so one panicking
+//! gateway thread would turn into a process-wide outage at the next
+//! `expect`. The locks taken through these accessors (the parking lot, the
+//! worker table, the reply registry, a gateway's inbox / id lease /
+//! watermarks, a directory member stripe) all guard data whose every update
+//! is a single insert, remove, push or store: no panic can leave them
+//! half-written, so recovering the guard is sound and the routing layer
+//! keeps serving.
+
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub(crate) fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

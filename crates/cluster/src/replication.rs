@@ -82,7 +82,7 @@
 //! `Gateway::session_view`).
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use dmps_floor::FloorArbiter;
 use dmps_simnet::{Delivery, HostId, Link, Network};
@@ -205,7 +205,7 @@ pub(crate) struct FollowerCore {
 /// one at a time with `applied` bumped after each, so the copy at worst sits
 /// behind its durable position, which reads and promotion already tolerate.
 pub(crate) fn lock_core(core: &Mutex<FollowerCore>) -> MutexGuard<'_, FollowerCore> {
-    core.lock().unwrap_or_else(PoisonError::into_inner)
+    crate::poison::lock(core)
 }
 
 impl FollowerCore {

@@ -239,31 +239,12 @@ impl SessionOutcome {
 }
 
 /// The session decision for one submitted [`SessionOp`], streamed back to
-/// the submitting gateway.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionDecision {
-    /// The request id.
-    pub seq: u64,
-    /// The group the operation addressed.
-    pub group: GlobalGroupId,
-    /// The outcome, or the routing/shard error that prevented it. Shared
-    /// (`Arc`) with the owning shard's session dedup journal, like floor
-    /// [`Decision`](crate::Decision) outcomes.
-    pub outcome: crate::error::Result<std::sync::Arc<SessionOutcome>>,
-    /// Whether the decision was answered from the shard's session journal (a
-    /// retry of an already-delivered operation).
-    pub replayed: bool,
-    /// The shard that answered, or `None` when routing failed before a shard
-    /// was resolved.
-    pub shard: Option<crate::ring::ShardId>,
-    /// The shard log position this decision was (quorum-)committed at (the
-    /// read-your-writes bound; `0` = no durability information). See
-    /// [`Decision::commit`](crate::Decision::commit).
-    pub commit: u64,
-    /// The leader epoch under which this decision quorum-committed (`0` = no
-    /// fencing information). See [`Decision::epoch`](crate::Decision::epoch).
-    pub epoch: u64,
-}
+/// the submitting gateway: the generic [`Decision`](crate::Decision)
+/// envelope — request id, group, shared (`Arc`) outcome or routing/shard
+/// error, `replayed` (answered from the shard's session journal),
+/// answering shard, read-your-writes `commit` position and leader `epoch` —
+/// around a [`SessionOutcome`].
+pub type SessionDecision = crate::cluster::Decision<SessionOutcome>;
 
 /// The session state of one group: the server-side logs a `DmpsServer` keeps
 /// for its single session, sharded.

@@ -8,17 +8,18 @@
 //! recorded per shard so grant-latency statistics can be computed with
 //! `dmps::metrics::GrantLatencyStats`.
 //!
-//! Whole presentation sessions travel the same network: session operations
-//! (chat, whiteboard strokes, annotations, synchronized-media schedules) are
-//! scheduled with [`ClusterSim::submit_session_at`], routed to the shard
-//! owning the group, floor-gated and durably logged there, and acknowledged
-//! back to the gateway ([`ClusterSim::session_acks`]).
+//! Whole presentation sessions travel the same network in the same two
+//! messages ([`ClusterMsg::Submit`] out, [`ClusterMsg::Reply`] back): session
+//! operations (chat, whiteboard strokes, annotations, synchronized-media
+//! schedules) are scheduled with [`ClusterSim::submit_session_at`], routed to
+//! the shard owning the group, floor-gated and durably logged there, and
+//! acknowledged back to the gateway ([`ClusterSim::session_acks`]).
 //!
 //! With [`ClusterSim::enable_retransmission`], the gateway also models the
-//! client-side half of exactly-once delivery: every request carries a
-//! cluster-unique id, and when a failover completes, requests (floor *and*
-//! session) that were sent to the crashed shard but never answered are
-//! retransmitted under their original ids. The shard's dedup windows answer
+//! client-side half of exactly-once delivery: every op carries a
+//! cluster-unique id, and when a failover completes, ops (floor *and*
+//! session, one outstanding map) that were sent to the crashed shard but
+//! never answered are retransmitted under their original ids, in id order. The shard's dedup windows answer
 //! already-applied ids from their decision journals, so a retry cannot
 //! double-apply a floor event or double-deliver a chat line, and the gateway
 //! drops duplicate decisions by id — every submission yields exactly one
@@ -32,8 +33,8 @@
 //! retransmission never sees), with the same dedup windows keeping delivery
 //! exactly-once.
 //!
-//! Backpressure note: the simulated gateway applies each request with a
-//! synchronous per-message round-trip (`request_with_id`), so at most one
+//! Backpressure note: the simulated gateway applies each op with a
+//! synchronous per-message round-trip, so at most one
 //! command per shard is in a bounded ingest queue at any instant and the
 //! [`ClusterConfig::queue_capacity`] /
 //! [`OverloadPolicy`](crate::OverloadPolicy) knobs cannot saturate here. A
@@ -82,11 +83,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
+use std::sync::Arc;
+
 use dmps_floor::ArbitrationOutcome;
 use dmps_simnet::{HostId, Link, Network, SimTime, Trace};
 
-use crate::cluster::{Cluster, ClusterConfig, GlobalRequest, HandoffTicket};
+use crate::cluster::{Cluster, ClusterConfig, Decision, GlobalRequest, HandoffTicket};
 use crate::error::{ClusterError, Result};
+use crate::op::{Op, Reply};
 use crate::ring::ShardId;
 use crate::session::{SessionOp, SessionOutcome, SessionRejection};
 use crate::shard::{CorruptionTarget, GlobalGroupId};
@@ -95,45 +99,18 @@ use crate::shard::{CorruptionTarget, GlobalGroupId};
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ClusterMsg {
-    /// Gateway → shard: arbitrate this request.
-    Request {
+    /// Gateway → shard: apply this op — a floor request or a session
+    /// operation.
+    Submit {
         /// The cluster-unique request id (idempotency key for retries).
         seq: u64,
-        /// The request.
-        request: GlobalRequest,
+        /// The op.
+        op: Op,
     },
-    /// Shard → gateway: the arbitration decision.
-    Decision {
-        /// The request id.
-        seq: u64,
-        /// The group the request addressed.
-        group: GlobalGroupId,
-        /// The outcome.
-        outcome: ArbitrationOutcome,
-        /// Whether the shard answered from its decision journal (a
-        /// retransmitted id replayed by the dedup window) instead of
-        /// arbitrating anew.
-        replayed: bool,
-    },
-    /// Gateway → shard: apply this session operation.
-    Session {
-        /// The cluster-unique request id (idempotency key for retries).
-        seq: u64,
-        /// The operation.
-        op: SessionOp,
-    },
-    /// Shard → gateway: the session decision.
-    SessionAck {
-        /// The request id.
-        seq: u64,
-        /// The group the operation addressed.
-        group: GlobalGroupId,
-        /// The outcome.
-        outcome: SessionOutcome,
-        /// Whether the shard answered from its session journal instead of
-        /// applying the operation anew.
-        replayed: bool,
-    },
+    /// Shard → gateway: the op's decision. Its `replayed` flag says whether
+    /// the shard answered from its decision journal (a retransmitted id
+    /// replayed by the dedup window) instead of applying the op anew.
+    Reply(Reply),
     /// Gateway self-timer: check whether `seq` has been answered and re-send
     /// it under the same id if not (see
     /// [`ClusterSim::enable_timeout_retry`]).
@@ -146,10 +123,18 @@ pub enum ClusterMsg {
 impl ClusterMsg {
     fn size_bytes(&self) -> u64 {
         match self {
-            ClusterMsg::Request { .. } => 64,
-            ClusterMsg::Decision { outcome, .. } => 64 + outcome.suspensions().len() as u64 * 16,
-            ClusterMsg::Session { op, .. } => 16 + op.size_bytes(),
-            ClusterMsg::SessionAck { .. } => 48,
+            ClusterMsg::Submit { op, .. } => match op {
+                Op::Floor(_) => 64,
+                Op::Session(op) => 16 + op.size_bytes(),
+            },
+            ClusterMsg::Reply(Reply::Floor(d)) => {
+                64 + d
+                    .outcome
+                    .as_ref()
+                    .map_or(0, |o| o.suspensions().len() as u64)
+                    * 16
+            }
+            ClusterMsg::Reply(Reply::Session(_)) => 48,
             // A pure gateway timer; never occupies link bandwidth.
             ClusterMsg::RetryCheck { .. } => 0,
         }
@@ -208,10 +193,9 @@ pub struct ClusterSim {
     hosts: Vec<ShardHosts>,
     plan: Vec<(SimTime, FailureAction)>,
     sent_at: BTreeMap<u64, (SimTime, ShardId)>,
-    /// Requests sent but not yet answered, by id — the retransmission queue.
-    outstanding: BTreeMap<u64, GlobalRequest>,
-    /// Session operations sent but not yet acknowledged, by id.
-    outstanding_sessions: BTreeMap<u64, SessionOp>,
+    /// Ops (floor requests and session operations) sent but not yet
+    /// answered, by id — the retransmission queue.
+    outstanding: BTreeMap<u64, Op>,
     /// Ids already answered (duplicate decisions are dropped).
     answered: BTreeSet<u64>,
     /// `Some(delay)` when gateway retransmission after failover is on.
@@ -262,7 +246,6 @@ impl ClusterSim {
             plan: Vec::new(),
             sent_at: BTreeMap::new(),
             outstanding: BTreeMap::new(),
-            outstanding_sessions: BTreeMap::new(),
             answered: BTreeSet::new(),
             retransmission: None,
             timeout_retry: None,
@@ -370,12 +353,16 @@ impl ClusterSim {
     /// Returns routing errors for unknown ids (the request must address an
     /// existing group/member so the gateway can resolve the owning shard).
     pub fn submit_at(&mut self, at: SimTime, request: GlobalRequest) -> Result<u64> {
+        self.submit_op_at(at, Op::Floor(request))
+    }
+
+    fn submit_op_at(&mut self, at: SimTime, op: Op) -> Result<u64> {
         // Resolve now to surface routing errors early; the serving host is
         // resolved again at send time so failovers redirect traffic.
-        let _ = self.cluster.placement(request.group)?;
+        let _ = self.cluster.placement(op.group())?;
         let seq = self.cluster.allocate_request_id();
         self.net
-            .schedule(self.gateway, at, ClusterMsg::Request { seq, request })
+            .schedule(self.gateway, at, ClusterMsg::Submit { seq, op })
             .expect("gateway timers are always schedulable");
         Ok(seq)
     }
@@ -388,14 +375,7 @@ impl ClusterSim {
     /// Returns routing errors for unknown ids (the operation must address an
     /// existing group/member so the gateway can resolve the owning shard).
     pub fn submit_session_at(&mut self, at: SimTime, op: SessionOp) -> Result<u64> {
-        // Resolve now to surface routing errors early; the serving host is
-        // resolved again at send time so failovers redirect traffic.
-        let _ = self.cluster.placement(op.group)?;
-        let seq = self.cluster.allocate_request_id();
-        self.net
-            .schedule(self.gateway, at, ClusterMsg::Session { seq, op })
-            .expect("gateway timers are always schedulable");
-        Ok(seq)
+        self.submit_op_at(at, Op::Session(op))
     }
 
     /// Schedules a crash of the shard's serving host at `at`, with the
@@ -664,27 +644,15 @@ impl ClusterSim {
     /// cannot double-apply a floor event or double-deliver content.
     fn retransmit_unanswered(&mut self, now: SimTime, at: SimTime, scope: RetransmitScope) {
         let before = self.retransmits;
-        let retries: Vec<(u64, GlobalRequest)> = self
+        let retries: Vec<(u64, Op)> = self
             .outstanding
             .iter()
-            .filter(|(_, request)| self.retransmit_scope_matches(scope, request.group))
-            .map(|(&seq, &request)| (seq, request))
-            .collect();
-        for (seq, request) in retries {
-            self.net
-                .schedule(self.gateway, at, ClusterMsg::Request { seq, request })
-                .expect("gateway timers are always schedulable");
-            self.retransmits += 1;
-        }
-        let session_retries: Vec<(u64, SessionOp)> = self
-            .outstanding_sessions
-            .iter()
-            .filter(|(_, op)| self.retransmit_scope_matches(scope, op.group))
+            .filter(|(_, op)| self.retransmit_scope_matches(scope, op.group()))
             .map(|(&seq, op)| (seq, op.clone()))
             .collect();
-        for (seq, op) in session_retries {
+        for (seq, op) in retries {
             self.net
-                .schedule(self.gateway, at, ClusterMsg::Session { seq, op })
+                .schedule(self.gateway, at, ClusterMsg::Submit { seq, op })
                 .expect("gateway timers are always schedulable");
             self.retransmits += 1;
         }
@@ -738,28 +706,14 @@ impl ClusterSim {
     fn dispatch(&mut self, at: SimTime, from: HostId, to: HostId, msg: ClusterMsg) {
         if to == self.gateway {
             match msg {
-                // A gateway timer: route the client request to the shard
+                // A gateway timer: route the client op to the shard
                 // currently serving the group.
-                ClusterMsg::Request { seq, request } if from == to => {
-                    let Ok(placement) = self.cluster.placement(request.group) else {
-                        return;
-                    };
-                    let serving = self.hosts[placement.shard.0].serving;
-                    // First-send time is what client-observed latency (and
-                    // retransmission accounting) is measured from.
-                    self.sent_at.entry(seq).or_insert((at, placement.shard));
-                    self.outstanding.insert(seq, request);
-                    let msg = ClusterMsg::Request { seq, request };
-                    let size = msg.size_bytes();
-                    let _ = self.net.send(self.gateway, serving, msg, size);
-                    self.arm_retry_check(at, seq);
+                ClusterMsg::Submit { seq, op } if from == to => {
+                    self.outstanding.insert(seq, op);
+                    self.transmit(at, seq);
                 }
-                ClusterMsg::Decision {
-                    seq,
-                    group,
-                    outcome,
-                    replayed,
-                } => {
+                ClusterMsg::Reply(reply) => {
+                    let seq = reply.seq();
                     if !self.answered.insert(seq) {
                         // A duplicate decision (original answered, then a
                         // retransmitted copy was replayed): exactly-once
@@ -768,127 +722,96 @@ impl ClusterSim {
                     }
                     self.outstanding.remove(&seq);
                     self.retry_budget.remove(&seq);
-                    if let Some((sent, shard)) = self.sent_at.get(&seq).copied() {
-                        self.latencies[shard.0].push(at.duration_since(sent));
-                    }
-                    self.trace.record(
-                        at,
-                        Some(from),
-                        if replayed { "replay" } else { "decision" },
-                        format!(
-                            "seq {seq} group {} {}",
-                            group.0,
-                            if outcome.is_granted() {
-                                "granted"
-                            } else {
-                                "not granted"
+                    // Shard hosts only ever send successful replies.
+                    match reply {
+                        Reply::Floor(d) => {
+                            let Ok(outcome) = d.outcome else { return };
+                            if let Some((sent, shard)) = self.sent_at.get(&seq).copied() {
+                                self.latencies[shard.0].push(at.duration_since(sent));
                             }
-                        ),
-                    );
-                    self.decisions.push((seq, group, outcome));
-                }
-                // A gateway timer: route the session operation to the shard
-                // currently serving the group.
-                ClusterMsg::Session { seq, op } if from == to => {
-                    let Ok(placement) = self.cluster.placement(op.group) else {
-                        return;
-                    };
-                    let serving = self.hosts[placement.shard.0].serving;
-                    self.outstanding_sessions.insert(seq, op.clone());
-                    let msg = ClusterMsg::Session { seq, op };
-                    let size = msg.size_bytes();
-                    let _ = self.net.send(self.gateway, serving, msg, size);
-                    self.arm_retry_check(at, seq);
-                }
-                ClusterMsg::SessionAck {
-                    seq,
-                    group,
-                    outcome,
-                    replayed,
-                } => {
-                    if !self.answered.insert(seq) {
-                        // Exactly-once accounting drops duplicate acks.
-                        return;
+                            let category = if d.replayed { "replay" } else { "decision" };
+                            let verdict = match outcome.is_granted() {
+                                true => "granted",
+                                false => "not granted",
+                            };
+                            let detail = format!("seq {seq} group {} {verdict}", d.group.0);
+                            self.trace.record(at, Some(from), category, detail);
+                            let outcome = Arc::unwrap_or_clone(outcome);
+                            self.decisions.push((seq, d.group, outcome));
+                        }
+                        Reply::Session(d) => {
+                            let Ok(outcome) = d.outcome else { return };
+                            let category = if d.replayed {
+                                "session-replay"
+                            } else {
+                                "session-ack"
+                            };
+                            let detail = format!("seq {seq} group {}", d.group.0);
+                            self.trace.record(at, Some(from), category, detail);
+                            let outcome = Arc::unwrap_or_clone(outcome);
+                            self.session_acks.push((seq, d.group, outcome));
+                        }
                     }
-                    self.outstanding_sessions.remove(&seq);
-                    self.retry_budget.remove(&seq);
-                    self.trace.record(
-                        at,
-                        Some(from),
-                        if replayed {
-                            "session-replay"
-                        } else {
-                            "session-ack"
-                        },
-                        format!("seq {seq} group {}", group.0),
-                    );
-                    self.session_acks.push((seq, group, outcome));
                 }
                 // A gateway timer: the retry deadline for `seq` passed.
                 ClusterMsg::RetryCheck { seq } if from == to => {
                     self.timeout_retry_check(at, seq);
                 }
-                ClusterMsg::Request { .. }
-                | ClusterMsg::Session { .. }
-                | ClusterMsg::RetryCheck { .. } => {}
+                ClusterMsg::Submit { .. } | ClusterMsg::RetryCheck { .. } => {}
             }
         } else if self.shard_of_host(to).is_some() {
-            match msg {
-                ClusterMsg::Request { seq, request } => {
-                    // The shard primary arbitrates — idempotently in the
-                    // request id, so a retransmitted request that was already
-                    // applied is answered from the decision journal — and
-                    // replies to the gateway. Shard down, a frozen handoff
-                    // window, or an `Overloaded` shed: the request dies
-                    // unanswered and retransmission heals it.
-                    let Ok((outcome, replayed)) = self.cluster.request_with_id(seq, request) else {
-                        return;
-                    };
-                    let reply = ClusterMsg::Decision {
-                        seq,
-                        group: request.group,
-                        outcome,
-                        replayed,
-                    };
-                    let size = reply.size_bytes();
-                    let _ = self.net.send(to, self.gateway, reply, size);
-                }
-                ClusterMsg::Session { seq, op } => {
-                    // Same shape for session operations: floor-gated, durably
-                    // logged, idempotent in the request id.
-                    let group = op.group;
-                    let (outcome, replayed) = match self.cluster.session_with_id(seq, op) {
-                        Ok((outcome, replayed)) => (outcome, replayed),
-                        // A member never instantiated on the owning shard is a
-                        // membership rejection — it must be *acked* (otherwise
-                        // the op would sit in the retransmission queue
-                        // forever), and whether it surfaces here or inside
-                        // `apply_session` depends only on ring placement.
-                        Err(ClusterError::NotOnShard { .. })
-                        | Err(ClusterError::UnknownMember(_)) => (
-                            SessionOutcome::Rejected {
-                                reason: SessionRejection::NotAMember,
-                            },
-                            false,
-                        ),
-                        // Shard down / unroutable: the op dies with the host;
-                        // failover retransmission heals it.
-                        Err(_) => return,
-                    };
-                    let reply = ClusterMsg::SessionAck {
-                        seq,
-                        group,
-                        outcome,
-                        replayed,
-                    };
-                    let size = reply.size_bytes();
-                    let _ = self.net.send(to, self.gateway, reply, size);
-                }
-                ClusterMsg::Decision { .. }
-                | ClusterMsg::SessionAck { .. }
-                | ClusterMsg::RetryCheck { .. } => {}
+            if let ClusterMsg::Submit { seq, op } = msg {
+                // The shard primary applies the op — idempotently in the
+                // request id, so a retransmitted op that was already applied
+                // is answered from the decision journal — and replies to the
+                // gateway. Shard down, a frozen handoff window, an
+                // `Overloaded` shed or an unroutable op: it dies unanswered
+                // and retransmission heals it.
+                let (group, session) = (op.group(), op.is_session());
+                let reply = match self.cluster.gateway.apply_as(seq, op) {
+                    Ok(reply) if reply.is_ok() => reply,
+                    // A member never instantiated on the owning shard is a
+                    // membership rejection of session content — it must be
+                    // *acked* (otherwise the op would sit in the
+                    // retransmission queue forever), and whether it surfaces
+                    // here or inside `apply_session` depends only on ring
+                    // placement.
+                    Err(ClusterError::NotOnShard { .. }) | Err(ClusterError::UnknownMember(_))
+                        if session =>
+                    {
+                        let reason = SessionRejection::NotAMember;
+                        let outcome = Ok(Arc::new(SessionOutcome::Rejected { reason }));
+                        Reply::Session(Decision::unstamped(seq, group, outcome, false, None))
+                    }
+                    _ => return,
+                };
+                let reply = ClusterMsg::Reply(reply);
+                let size = reply.size_bytes();
+                let _ = self.net.send(to, self.gateway, reply, size);
             }
         }
+    }
+
+    /// Sends the outstanding op `seq` to the host currently serving its
+    /// group — the placement is re-resolved on every (re)transmission so
+    /// traffic follows failovers and handoffs — and arms its retry check.
+    /// Returns whether anything was sent.
+    fn transmit(&mut self, at: SimTime, seq: u64) -> bool {
+        let Some(op) = self.outstanding.get(&seq).cloned() else {
+            return false;
+        };
+        let Ok(placement) = self.cluster.placement(op.group()) else {
+            return false;
+        };
+        // First-send time is what client-observed latency (and
+        // retransmission accounting) is measured from.
+        self.sent_at.entry(seq).or_insert((at, placement.shard));
+        let msg = ClusterMsg::Submit { seq, op };
+        let size = msg.size_bytes();
+        let serving = self.hosts[placement.shard.0].serving;
+        let _ = self.net.send(self.gateway, serving, msg, size);
+        self.arm_retry_check(at, seq);
+        true
     }
 
     /// Arms a timeout-retry check for `seq`, `timeout` after the
@@ -922,26 +845,10 @@ impl ClusterSim {
             );
             return;
         }
-        // Re-send under the original id; the placement (and the serving
-        // host) is re-resolved so retries follow failovers and handoffs.
-        let msg = if let Some(request) = self.outstanding.get(&seq).copied() {
-            ClusterMsg::Request { seq, request }
-        } else if let Some(op) = self.outstanding_sessions.get(&seq).cloned() {
-            ClusterMsg::Session { seq, op }
-        } else {
+        // Re-send under the original id (arming the next check).
+        if !self.transmit(at, seq) {
             return;
-        };
-        let group = match &msg {
-            ClusterMsg::Request { request, .. } => request.group,
-            ClusterMsg::Session { op, .. } => op.group,
-            _ => unreachable!("only submissions are retried"),
-        };
-        let Ok(placement) = self.cluster.placement(group) else {
-            return;
-        };
-        let serving = self.hosts[placement.shard.0].serving;
-        let size = msg.size_bytes();
-        let _ = self.net.send(self.gateway, serving, msg, size);
+        }
         self.retry_budget.insert(seq, used + 1);
         self.timeout_retries += 1;
         self.trace.record(
@@ -950,7 +857,6 @@ impl ClusterSim {
             "timeout-retry",
             format!("seq {seq} re-sent (retry {} of {budget})", used + 1),
         );
-        self.arm_retry_check(at, seq);
     }
 
     /// Request→decision latency samples observed for one shard, measured

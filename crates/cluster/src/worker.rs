@@ -22,7 +22,8 @@
 //!    and the snapshot cadence is checked once per batch — the group commit.
 //! 3. Replies are released only *after* the group commit (a decision is never
 //!    visible before its event is durable), coalesced per submitting gateway:
-//!    one channel send per gateway per batch instead of one per decision.
+//!    one channel send per gateway per batch — floor and session decisions
+//!    together — instead of one per decision.
 //!
 //! With a nonzero [`ClusterConfig::replicas`](crate::ClusterConfig::replicas),
 //! step 3 additionally waits for a **write quorum**: after the local
@@ -38,12 +39,13 @@
 //! lossy links as needed) before it blocks, so no decision is ever held
 //! hostage by an ack that got lost.
 //!
-//! Three command shapes cover everything:
+//! Two command shapes (plus a fault-injection twin of the second) cover
+//! everything:
 //!
-//! * `ShardCommand::Request` — the streaming floor-ingest path (through the
-//!   shard's dedup window, see [`Shard::arbitrate_dedup`]).
-//! * `ShardCommand::Session` — the session-ops path
-//!   ([`Shard::arbitrate_session_dedup`]).
+//! * `ShardCommand::Ingest` — the streaming ingest path for every op, floor
+//!   request or session operation alike; the shard-local op picks the
+//!   shard's entry point ([`Shard::arbitrate_dedup`] /
+//!   [`Shard::arbitrate_session_dedup`], each through its dedup window).
 //! * `ShardCommand::With` — the control plane. A closure runs with exclusive
 //!   access to the shard (create a group, crash, recover, inspect, and the
 //!   live-handoff phases). A `With` command is a **barrier** inside a batch:
@@ -55,7 +57,7 @@
 //!   deadlock) crash-recovery and handoffs.
 //!
 //! Reply routing is allocation-free on the submit side: instead of cloning a
-//! `Sender` into every command, each gateway registers its reply channels
+//! `Sender` into every command, each gateway registers its one reply channel
 //! once in the shared `ReplyRegistry` and commands carry a small
 //! generation-checked `ReplyHandle`. A gateway that dropped simply misses
 //! its decisions; a reused slot cannot leak decisions across gateways because
@@ -90,20 +92,19 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use dmps_floor::FloorRequest;
 use dmps_simnet::Link;
 use dmps_telemetry::{saturating_nanos, Stage, TraceSpan};
 
 use crate::cluster::Decision;
-use crate::error::ClusterError;
 use crate::instrument::{ReplicaMetrics, WorkerTelemetry};
+use crate::op::{LocalOp, Reply};
+use crate::poison::{read, write};
 use crate::queue::{bounded, OverloadPolicy, PushError, QueueReceiver, QueueSender, QueueStats};
 use crate::replication::{FollowerCore, ReplicaSet};
-use crate::session::{SessionDecision, SessionEvent};
-use crate::shard::{GlobalGroupId, Shard};
+use crate::shard::Shard;
 
 /// A small, copyable ticket identifying a registered gateway's reply
-/// channels. Generation-checked so a recycled slot cannot deliver a dead
+/// channel. Generation-checked so a recycled slot cannot deliver a dead
 /// gateway's decisions to its successor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct ReplyHandle {
@@ -120,15 +121,9 @@ impl ReplyHandle {
 }
 
 #[derive(Debug)]
-struct Channels {
-    decisions: Sender<Vec<Decision>>,
-    sessions: Sender<Vec<SessionDecision>>,
-}
-
-#[derive(Debug)]
 struct Slot {
     gen: u32,
-    channels: Option<Channels>,
+    channel: Option<Sender<Vec<Reply>>>,
 }
 
 /// The shared table of gateway reply channels: registered once per gateway,
@@ -140,22 +135,14 @@ pub(crate) struct ReplyRegistry {
 }
 
 impl ReplyRegistry {
-    /// Registers a gateway's reply channels, recycling a free slot if one
+    /// Registers a gateway's reply channel, recycling a free slot if one
     /// exists.
-    pub(crate) fn register(
-        &self,
-        decisions: Sender<Vec<Decision>>,
-        sessions: Sender<Vec<SessionDecision>>,
-    ) -> ReplyHandle {
-        let mut slots = self.slots.write().expect("reply registry");
-        let channels = Channels {
-            decisions,
-            sessions,
-        };
-        if let Some(index) = slots.iter().position(|s| s.channels.is_none()) {
+    pub(crate) fn register(&self, channel: Sender<Vec<Reply>>) -> ReplyHandle {
+        let mut slots = write(&self.slots);
+        if let Some(index) = slots.iter().position(|s| s.channel.is_none()) {
             let slot = &mut slots[index];
             slot.gen = slot.gen.wrapping_add(1);
-            slot.channels = Some(channels);
+            slot.channel = Some(channel);
             return ReplyHandle {
                 index: index as u32,
                 gen: slot.gen,
@@ -163,7 +150,7 @@ impl ReplyRegistry {
         }
         slots.push(Slot {
             gen: 0,
-            channels: Some(channels),
+            channel: Some(channel),
         });
         ReplyHandle {
             index: (slots.len() - 1) as u32,
@@ -174,88 +161,53 @@ impl ReplyRegistry {
     /// Frees a gateway's slot. In-flight decisions addressed to the old
     /// handle are dropped by the generation check.
     pub(crate) fn unregister(&self, handle: ReplyHandle) {
-        let mut slots = self.slots.write().expect("reply registry");
+        let mut slots = write(&self.slots);
         if let Some(slot) = slots.get_mut(handle.index as usize) {
             if slot.gen == handle.gen {
-                slot.channels = None;
+                slot.channel = None;
             }
         }
     }
 
-    /// Delivers a coalesced batch of floor decisions to a gateway. A stale
-    /// or freed handle (the gateway is gone) drops the batch, matching the
-    /// old dropped-receiver semantics.
-    pub(crate) fn send_decisions(&self, handle: ReplyHandle, batch: Vec<Decision>) {
-        let slots = self.slots.read().expect("reply registry");
+    /// Delivers a coalesced batch of replies to a gateway. A stale or freed
+    /// handle (the gateway is gone) drops the batch, matching the old
+    /// dropped-receiver semantics.
+    pub(crate) fn send(&self, handle: ReplyHandle, batch: Vec<Reply>) {
+        let slots = read(&self.slots);
         if let Some(slot) = slots.get(handle.index as usize) {
             if slot.gen == handle.gen {
-                if let Some(channels) = &slot.channels {
-                    let _ = channels.decisions.send(batch);
-                }
-            }
-        }
-    }
-
-    /// Delivers a coalesced batch of session decisions to a gateway.
-    pub(crate) fn send_session_decisions(&self, handle: ReplyHandle, batch: Vec<SessionDecision>) {
-        let slots = self.slots.read().expect("reply registry");
-        if let Some(slot) = slots.get(handle.index as usize) {
-            if slot.gen == handle.gen {
-                if let Some(channels) = &slot.channels {
-                    let _ = channels.sessions.send(batch);
+                if let Some(channel) = &slot.channel {
+                    let _ = channel.send(batch);
                 }
             }
         }
     }
 }
 
-/// Where a decision streams back to: the registered channel of a submitting
+/// Where a reply streams back to: the registered channel of a submitting
 /// gateway (the hot path — a copyable handle, no allocation), or a one-shot
 /// channel for the synchronous `request`/`session` round-trips.
-#[derive(Debug)]
-pub(crate) enum ReplyTo<T> {
+#[derive(Debug, Clone)]
+pub(crate) enum ReplyTo {
     /// The submitting gateway's registered stream.
     Gateway(ReplyHandle),
     /// A caller-owned one-shot channel (synchronous paths).
-    Direct(Sender<T>),
-}
-
-impl<T> Clone for ReplyTo<T> {
-    fn clone(&self) -> Self {
-        match self {
-            ReplyTo::Gateway(h) => ReplyTo::Gateway(*h),
-            ReplyTo::Direct(tx) => ReplyTo::Direct(tx.clone()),
-        }
-    }
+    Direct(Sender<Reply>),
 }
 
 /// One unit of work for a shard worker.
 pub(crate) enum ShardCommand {
-    /// Arbitrate a floor request; the decision goes to `reply` after the
-    /// batch holding it group-commits.
-    Request {
+    /// Arbitrate one op — a floor request or a session operation; the
+    /// decision goes to `reply` after the batch holding it group-commits.
+    Ingest {
         /// Cluster-unique request id (dedup key and decision ordering key).
         seq: u64,
-        /// The global group, echoed into the decision.
-        group: GlobalGroupId,
-        /// The request, already translated to shard-local ids.
-        request: FloorRequest,
+        /// The op, already translated to shard-local ids.
+        op: LocalOp,
         /// Where the decision streams back to.
-        reply: ReplyTo<Decision>,
-        /// The pipeline trace span, present on the 1-in-N sampled requests.
+        reply: ReplyTo,
+        /// The pipeline trace span, present on the 1-in-N sampled ops.
         /// Boxed so the unsampled hot path carries one machine word.
-        span: Option<Box<TraceSpan>>,
-    },
-    /// Apply a session operation; the decision goes to `reply` after the
-    /// batch holding it group-commits.
-    Session {
-        /// Cluster-unique request id (dedup key and decision ordering key).
-        seq: u64,
-        /// The operation, already translated to shard-local ids.
-        event: SessionEvent,
-        /// Where the decision streams back to.
-        reply: ReplyTo<SessionDecision>,
-        /// The pipeline trace span, present on sampled operations.
         span: Option<Box<TraceSpan>>,
     },
     /// Run a closure with exclusive access to the shard and its replica set
@@ -428,50 +380,30 @@ impl Drop for ShardWorker {
     }
 }
 
-/// Groups replies per gateway handle (forwarding one-shot `Direct` replies
-/// as it goes). A drained batch touches a handful of gateways at most, so a
-/// linear scan beats a map.
-fn coalesce<T>(
-    replies: &mut Vec<(ReplyTo<T>, T)>,
-    direct: impl Fn(Sender<T>, T),
-) -> Vec<(ReplyHandle, Vec<T>)> {
-    let mut by_gateway: Vec<(ReplyHandle, Vec<T>)> = Vec::new();
-    for (reply, decision) in replies.drain(..) {
-        match reply {
+/// Releases every buffered reply, coalescing gateway-bound ones into one
+/// channel send per gateway (forwarding one-shot `Direct` replies as it
+/// goes). Called only after the batch that produced the replies has
+/// group-committed — this is where the decisions-never-outrun-durability
+/// barrier is enforced.
+fn flush_replies(registry: &ReplyRegistry, replies: &mut Vec<(ReplyTo, Reply)>) {
+    // A drained batch touches a handful of gateways at most, so a linear
+    // scan beats a map.
+    let mut by_gateway: Vec<(ReplyHandle, Vec<Reply>)> = Vec::new();
+    for (to, reply) in replies.drain(..) {
+        match to {
             ReplyTo::Gateway(handle) => match by_gateway.iter_mut().find(|(h, _)| *h == handle) {
-                Some((_, batch)) => batch.push(decision),
-                None => by_gateway.push((handle, vec![decision])),
+                Some((_, batch)) => batch.push(reply),
+                None => by_gateway.push((handle, vec![reply])),
             },
             // A gateway that dropped its one-shot receiver simply misses
             // the decision; the shard state is already consistent.
-            ReplyTo::Direct(tx) => direct(tx, decision),
+            ReplyTo::Direct(tx) => {
+                let _ = tx.send(reply);
+            }
         }
     }
-    by_gateway
-}
-
-/// Releases every buffered reply, coalescing gateway-bound decisions into
-/// one channel send per gateway. Called only after the batch that produced
-/// the replies has group-committed — this is where the decisions-never-
-/// outrun-durability barrier is enforced.
-fn flush_replies(
-    registry: &ReplyRegistry,
-    floor: &mut Vec<(ReplyTo<Decision>, Decision)>,
-    session: &mut Vec<(ReplyTo<SessionDecision>, SessionDecision)>,
-) {
-    if !floor.is_empty() {
-        for (handle, batch) in coalesce(floor, |tx, decision| {
-            let _ = tx.send(decision);
-        }) {
-            registry.send_decisions(handle, batch);
-        }
-    }
-    if !session.is_empty() {
-        for (handle, batch) in coalesce(session, |tx, decision| {
-            let _ = tx.send(decision);
-        }) {
-            registry.send_session_decisions(handle, batch);
-        }
+    for (handle, batch) in by_gateway {
+        registry.send(handle, batch);
     }
 }
 
@@ -482,8 +414,7 @@ fn flush_replies(
 struct PendingBatch {
     /// The shard log's `next_seq` right after this batch's group commit.
     end_seq: u64,
-    floor: Vec<(ReplyTo<Decision>, Decision)>,
-    session: Vec<(ReplyTo<SessionDecision>, SessionDecision)>,
+    replies: Vec<(ReplyTo, Reply)>,
     /// Each tagged session-or-floor: which latency histogram it feeds.
     spans: Vec<(Box<TraceSpan>, bool)>,
 }
@@ -498,15 +429,10 @@ fn release(
     batch: &mut PendingBatch,
     epoch: u64,
 ) {
-    for (_, d) in batch.floor.iter_mut().filter(|(_, d)| d.outcome.is_ok()) {
-        d.commit = batch.end_seq;
-        d.epoch = epoch;
+    for (_, reply) in batch.replies.iter_mut() {
+        reply.stamp(batch.end_seq, epoch);
     }
-    for (_, d) in batch.session.iter_mut().filter(|(_, d)| d.outcome.is_ok()) {
-        d.commit = batch.end_seq;
-        d.epoch = epoch;
-    }
-    flush_replies(registry, &mut batch.floor, &mut batch.session);
+    flush_replies(registry, &mut batch.replies);
     for (span, is_session) in batch.spans.drain(..) {
         telemetry.finish_span(*span, is_session);
     }
@@ -527,28 +453,13 @@ fn fail_pipeline(
     telemetry: &WorkerTelemetry,
 ) {
     while let Some(mut batch) = inflight.pop_front() {
-        for (_, d) in batch.floor.iter_mut() {
-            if !d.replayed && d.outcome.is_ok() {
-                shard.note_orphan(d.seq, batch.end_seq, false);
+        for (_, reply) in batch.replies.iter_mut() {
+            if reply.fail(shard.id()) {
+                shard.note_orphan(reply.seq(), batch.end_seq, reply.is_session());
             }
-            d.outcome = Err(ClusterError::ShardDown(shard.id()));
-            d.replayed = false;
-            d.commit = 0;
-            d.epoch = 0;
         }
-        for (_, d) in batch.session.iter_mut() {
-            if !d.replayed && d.outcome.is_ok() {
-                shard.note_orphan(d.seq, batch.end_seq, true);
-            }
-            d.outcome = Err(ClusterError::ShardDown(shard.id()));
-            d.replayed = false;
-            d.commit = 0;
-            d.epoch = 0;
-        }
-        flush_replies(registry, &mut batch.floor, &mut batch.session);
-        for (span, is_session) in batch.spans.drain(..) {
-            telemetry.finish_span(*span, is_session);
-        }
+        // Nothing is left to stamp: every reply is a failure now.
+        release(registry, telemetry, &mut batch, 0);
     }
     shard.crash();
 }
@@ -602,7 +513,7 @@ fn commit_and_flush(
     open: &mut PendingBatch,
     telemetry: &WorkerTelemetry,
 ) {
-    let had_decisions = !open.floor.is_empty() || !open.session.is_empty();
+    let had_decisions = !open.replies.is_empty();
     let commit = Instant::now();
     shard.commit_batch();
     if had_decisions {
@@ -706,57 +617,30 @@ fn run(
         shard.begin_batch();
         for command in commands.drain(..) {
             match command {
-                ShardCommand::Request {
+                ShardCommand::Ingest {
                     seq,
-                    group,
-                    request,
+                    op,
                     reply,
                     span,
                 } => {
                     if let Some(mut span) = span {
                         span.stamp(Stage::Drained);
                         span.set_shard(shard_index);
-                        open.spans.push((span, false));
+                        open.spans.push((span, matches!(op, LocalOp::Session(_))));
                     }
-                    let (outcome, replayed) = shard.arbitrate_dedup(seq, group, request);
-                    open.floor.push((
-                        reply,
-                        Decision {
-                            seq,
-                            group,
-                            outcome,
-                            replayed,
-                            shard: Some(shard_id),
-                            commit: 0,
-                            epoch: 0,
-                        },
-                    ));
-                }
-                ShardCommand::Session {
-                    seq,
-                    event,
-                    reply,
-                    span,
-                } => {
-                    if let Some(mut span) = span {
-                        span.stamp(Stage::Drained);
-                        span.set_shard(shard_index);
-                        open.spans.push((span, true));
-                    }
-                    let group = event.group;
-                    let (outcome, replayed) = shard.arbitrate_session_dedup(seq, event);
-                    open.session.push((
-                        reply,
-                        SessionDecision {
-                            seq,
-                            group,
-                            outcome,
-                            replayed,
-                            shard: Some(shard_id),
-                            commit: 0,
-                            epoch: 0,
-                        },
-                    ));
+                    let by = Some(shard_id);
+                    let decided = match op {
+                        LocalOp::Floor { group, request } => {
+                            let (outcome, replayed) = shard.arbitrate_dedup(seq, group, request);
+                            Reply::Floor(Decision::unstamped(seq, group, outcome, replayed, by))
+                        }
+                        LocalOp::Session(event) => {
+                            let group = event.group;
+                            let (outcome, replayed) = shard.arbitrate_session_dedup(seq, event);
+                            Reply::Session(Decision::unstamped(seq, group, outcome, replayed, by))
+                        }
+                    };
+                    open.replies.push((reply, decided));
                 }
                 ShardCommand::With(f) => {
                     // Control barrier: commit the open batch, then settle
@@ -823,8 +707,10 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ClusterError;
     use crate::instrument::ClusterTelemetry;
     use crate::ring::ShardId;
+    use crate::shard::GlobalGroupId;
     use std::sync::mpsc::channel;
 
     #[test]
@@ -837,32 +723,18 @@ mod tests {
         let mut replicas = ReplicaSet::new(ShardId(0), 2, Link::replica(), telemetry.replica(0));
         shard.crash();
         let (tx, rx) = channel();
-        let (session_tx, session_rx) = channel();
         let mut open = PendingBatch::default();
-        open.floor.push((
-            ReplyTo::Direct(tx),
-            Decision {
-                seq: 8,
-                group: GlobalGroupId(0),
-                outcome: Err(ClusterError::ShardDown(ShardId(0))),
-                replayed: false,
-                shard: Some(ShardId(0)),
-                commit: 0,
-                epoch: 0,
-            },
-        ));
-        open.session.push((
-            ReplyTo::Direct(session_tx),
-            SessionDecision {
-                seq: 9,
-                group: GlobalGroupId(0),
-                outcome: Err(ClusterError::ShardDown(ShardId(0))),
-                replayed: false,
-                shard: Some(ShardId(0)),
-                commit: 0,
-                epoch: 0,
-            },
-        ));
+        let down = ClusterError::ShardDown(ShardId(0));
+        for (seq, session) in [(8, false), (9, true)] {
+            let failed = Reply::failed(
+                session,
+                seq,
+                GlobalGroupId(0),
+                Some(ShardId(0)),
+                down.clone(),
+            );
+            open.replies.push((ReplyTo::Direct(tx.clone()), failed));
+        }
         shard.begin_batch();
         commit_and_flush(
             &mut shard,
@@ -873,9 +745,13 @@ mod tests {
             &mut open,
             &telemetry.worker(0),
         );
-        let failed = rx.recv().unwrap();
+        let Reply::Floor(failed) = rx.recv().unwrap() else {
+            panic!("the floor op is answered on the floor lane");
+        };
         assert_eq!((failed.seq, failed.commit, failed.epoch), (8, 0, 0));
-        let failed = session_rx.recv().unwrap();
+        let Reply::Session(failed) = rx.recv().unwrap() else {
+            panic!("the session op is answered on the session lane");
+        };
         assert_eq!((failed.seq, failed.commit, failed.epoch), (9, 0, 0));
     }
 }

@@ -4,15 +4,13 @@
 //! Replay preserves per-group operation order — the property that makes
 //! every streamed decision individually checkable against the trace's
 //! stamped expectation. The shard ingest queue is one FIFO shared by floor
-//! and session commands, so per-group order holds as long as a group's ops
-//! are submitted by one gateway in trace order. The driver therefore:
-//!
-//! * partitions groups over gateways by top-level ancestor (a breakout
-//!   sub-session always rides its parent's gateway), and
-//! * keeps **two batch buffers per driver** (floor / session) with the
-//!   invariant that at most one buffer ever holds ops for a given group —
-//!   buffering an op whose *other-kind* buffer mentions its group first
-//!   flushes that buffer.
+//! and session commands, and a gateway takes mixed-kind batches
+//! ([`Gateway::submit_ops`]) that keep submission order across kinds, so
+//! per-group order holds as long as a group's ops are submitted by one
+//! gateway in trace order. The driver therefore partitions groups over
+//! gateways by top-level ancestor (a breakout sub-session always rides its
+//! parent's gateway) and keeps **one batch buffer** of floor and session
+//! ops together, in trace order.
 //!
 //! Latency is sampled one-in-K ops from batch submit to decision receipt and
 //! recorded into lock-free [`Histogram`]s (overall and per archetype).
@@ -25,13 +23,12 @@
 //! window replays anything that already committed instead of
 //! double-applying.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use dmps_cluster::{
     Cluster, ClusterConfig, ClusterError, CorruptionTarget, Decision, Gateway, GlobalGroupId,
-    GlobalMemberId, GlobalRequest, SessionDecision, SessionOp, SessionOutcome, SessionRejection,
-    ShardId,
+    GlobalMemberId, GlobalRequest, Op, SessionOp, SessionOutcome, SessionRejection, ShardId,
 };
 use dmps_floor::{ArbitrationOutcome, FcmMode, Member, Role};
 use dmps_simnet::SimTime;
@@ -135,7 +132,7 @@ pub struct ReplayOptions {
     /// partitioned by top-level ancestor). Must be 1 when `crashes` is
     /// non-empty.
     pub gateways: usize,
-    /// Ops buffered per kind before a vectored submit.
+    /// Ops buffered (floor and session together) before a vectored submit.
     pub flush_batch: usize,
     /// Sample one in this many ops for end-to-end latency (0 = never).
     pub latency_sample_every: usize,
@@ -349,18 +346,17 @@ impl DriveStats {
     }
 }
 
-/// One gateway's driving state: batch buffers, outstanding-decision maps and
-/// accumulated stats.
+/// One gateway's driving state: the batch buffer, outstanding-decision maps
+/// and accumulated stats.
 struct Driver<'a> {
     trace: &'a Trace,
     gw: &'a Gateway,
     top_ids: &'a [GlobalGroupId],
     members: &'a [Vec<GlobalMemberId>],
     sub_ids: HashMap<u32, GlobalGroupId>,
-    floor_buf: Vec<usize>,
-    session_buf: Vec<usize>,
-    floor_groups: HashSet<u32>,
-    session_groups: HashSet<u32>,
+    /// Streamed ops of both kinds awaiting the next vectored submit, in
+    /// trace order.
+    buf: Vec<usize>,
     outstanding_floor: HashMap<u64, usize>,
     outstanding_session: HashMap<u64, usize>,
     sampled: HashMap<u64, Instant>,
@@ -389,10 +385,7 @@ impl<'a> Driver<'a> {
             top_ids,
             members,
             sub_ids: HashMap::new(),
-            floor_buf: Vec::with_capacity(opts.flush_batch),
-            session_buf: Vec::with_capacity(opts.flush_batch),
-            floor_groups: HashSet::new(),
-            session_groups: HashSet::new(),
+            buf: Vec::with_capacity(opts.flush_batch),
             outstanding_floor: HashMap::new(),
             outstanding_session: HashMap::new(),
             sampled: HashMap::new(),
@@ -429,32 +422,31 @@ impl<'a> Driver<'a> {
         self.trace.groups[op.group as usize].archetype.index()
     }
 
-    fn build_floor(&self, op_idx: usize) -> GlobalRequest {
+    fn build_op(&self, op_idx: usize) -> Op {
         let op = &self.trace.ops[op_idx];
         let gid = self.group_id(op.group).expect("group spawned before use");
         let mid = self.member_id(op.group, op.member);
         match op.kind {
-            OpKind::Speak => GlobalRequest::speak(gid, mid),
-            OpKind::Release => GlobalRequest::release_floor(gid, mid),
+            OpKind::Speak => Op::Floor(GlobalRequest::speak(gid, mid)),
+            OpKind::Release => Op::Floor(GlobalRequest::release_floor(gid, mid)),
             OpKind::Pass { to } => {
-                GlobalRequest::pass_floor(gid, mid, self.member_id(op.group, to))
+                let to = self.member_id(op.group, to);
+                Op::Floor(GlobalRequest::pass_floor(gid, mid, to))
             }
-            _ => unreachable!("floor builder on non-floor op"),
-        }
-    }
-
-    fn build_session(&self, op_idx: usize) -> SessionOp {
-        let op = &self.trace.ops[op_idx];
-        let gid = self.group_id(op.group).expect("group spawned before use");
-        let mid = self.member_id(op.group, op.member);
-        match op.kind {
-            OpKind::Chat { len } => SessionOp::chat(gid, mid, payload_text(len)),
-            OpKind::Whiteboard { len } => SessionOp::whiteboard(gid, mid, payload_text(len)),
-            OpKind::Annotation { len } => SessionOp::annotation(gid, mid, payload_text(len)),
-            OpKind::ScheduleMedia { len } => {
-                SessionOp::schedule_media(gid, mid, payload_text(len), SimTime::from_nanos(op.at))
+            OpKind::Chat { len } => Op::Session(SessionOp::chat(gid, mid, payload_text(len))),
+            OpKind::Whiteboard { len } => {
+                Op::Session(SessionOp::whiteboard(gid, mid, payload_text(len)))
             }
-            _ => unreachable!("session builder on non-session op"),
+            OpKind::Annotation { len } => {
+                Op::Session(SessionOp::annotation(gid, mid, payload_text(len)))
+            }
+            OpKind::ScheduleMedia { len } => Op::Session(SessionOp::schedule_media(
+                gid,
+                mid,
+                payload_text(len),
+                SimTime::from_nanos(op.at),
+            )),
+            OpKind::Spawn { .. } => unreachable!("control ops are never buffered"),
         }
     }
 
@@ -486,24 +478,10 @@ impl<'a> Driver<'a> {
                 }
                 self.stats.control += 1;
             }
-            kind if kind.is_floor() => {
-                if self.session_groups.contains(&op.group) {
-                    self.flush_session();
-                }
-                self.floor_buf.push(op_idx);
-                self.floor_groups.insert(op.group);
-                if self.floor_buf.len() >= self.flush_batch {
-                    self.flush_floor();
-                }
-            }
             _ => {
-                if self.floor_groups.contains(&op.group) {
-                    self.flush_floor();
-                }
-                self.session_buf.push(op_idx);
-                self.session_groups.insert(op.group);
-                if self.session_buf.len() >= self.flush_batch {
-                    self.flush_session();
+                self.buf.push(op_idx);
+                if self.buf.len() >= self.flush_batch {
+                    self.flush();
                 }
             }
         }
@@ -519,45 +497,29 @@ impl<'a> Driver<'a> {
         }
     }
 
-    fn flush_floor(&mut self) {
-        if self.floor_buf.is_empty() {
+    /// Submits everything buffered as one mixed-kind batch.
+    fn flush(&mut self) {
+        if self.buf.is_empty() {
             return;
         }
-        let requests: Vec<GlobalRequest> = self
-            .floor_buf
-            .iter()
-            .map(|&i| self.build_floor(i))
-            .collect();
-        let seqs = self.gw.submit_batch(&requests);
+        let buf = std::mem::take(&mut self.buf);
+        let ops: Vec<Op> = buf.iter().map(|&i| self.build_op(i)).collect();
+        let seqs = self.gw.submit_ops(ops);
         let now = Instant::now();
-        let buf = std::mem::take(&mut self.floor_buf);
+        self.stats.streamed += buf.len() as u64;
         for (seq, idx) in seqs.into_iter().zip(buf) {
-            self.outstanding_floor.insert(seq, idx);
+            self.outstanding(idx).insert(seq, idx);
             self.note_sample(seq, now);
         }
-        self.floor_groups.clear();
-        self.stats.streamed += requests.len() as u64;
     }
 
-    fn flush_session(&mut self) {
-        if self.session_buf.is_empty() {
-            return;
+    /// The outstanding-decision map of the stream op `idx` is answered on.
+    fn outstanding(&mut self, idx: usize) -> &mut HashMap<u64, usize> {
+        if self.trace.ops[idx].kind.is_floor() {
+            &mut self.outstanding_floor
+        } else {
+            &mut self.outstanding_session
         }
-        let ops: Vec<SessionOp> = self
-            .session_buf
-            .iter()
-            .map(|&i| self.build_session(i))
-            .collect();
-        let count = ops.len() as u64;
-        let seqs = self.gw.submit_session_batch(ops);
-        let now = Instant::now();
-        let buf = std::mem::take(&mut self.session_buf);
-        for (seq, idx) in seqs.into_iter().zip(buf) {
-            self.outstanding_session.insert(seq, idx);
-            self.note_sample(seq, now);
-        }
-        self.session_groups.clear();
-        self.stats.streamed += count;
     }
 
     fn record_latency(&mut self, seq: u64, op_idx: usize, floor: bool) {
@@ -577,10 +539,24 @@ impl<'a> Driver<'a> {
         }
     }
 
-    fn process_floor(&mut self, d: Decision) {
-        let Some(op_idx) = self.outstanding_floor.remove(&d.seq) else {
+    /// Checks one streamed decision of either kind against the trace.
+    /// `judge` says whether the outcome is the one the op's `Expect` stamps,
+    /// counting it into the archetype's report if so.
+    fn process<O: std::fmt::Debug>(
+        &mut self,
+        d: Decision<O>,
+        floor: bool,
+        judge: impl Fn(Expect, &O, &mut ArchetypeReport) -> bool,
+    ) {
+        let outstanding = if floor {
+            &mut self.outstanding_floor
+        } else {
+            &mut self.outstanding_session
+        };
+        let Some(op_idx) = outstanding.remove(&d.seq) else {
+            let stream = if floor { "floor" } else { "session" };
             self.stats
-                .mismatch(format!("unexpected floor decision for seq {}", d.seq));
+                .mismatch(format!("unexpected {stream} decision for seq {}", d.seq));
             return;
         };
         let op = self.trace.ops[op_idx];
@@ -589,28 +565,13 @@ impl<'a> Driver<'a> {
                 let arch = self.archetype_of(op_idx);
                 let stats = &mut self.stats.per_archetype[arch];
                 stats.ops += 1;
-                let ok = match (op.expect, outcome.as_ref()) {
-                    (Expect::Granted, ArbitrationOutcome::Granted { .. }) => {
-                        stats.granted += 1;
-                        true
-                    }
-                    (Expect::Queued, ArbitrationOutcome::Queued { .. }) => {
-                        stats.queued += 1;
-                        true
-                    }
-                    (Expect::Denied, ArbitrationOutcome::Denied { .. }) => {
-                        stats.denied += 1;
-                        true
-                    }
-                    _ => false,
-                };
-                if !ok {
+                if !judge(op.expect, &outcome, stats) {
                     self.stats.mismatch(format!(
                         "op {op_idx} ({:?} by {} in group {}): expected {:?}, got {:?}",
                         op.kind, op.member, op.group, op.expect, outcome
                     ));
                 }
-                self.record_latency(d.seq, op_idx, true);
+                self.record_latency(d.seq, op_idx, floor);
             }
             Err(ClusterError::ShardDown(_)) | Err(ClusterError::Overloaded(_)) => {
                 // Exactly-once retry path: resubmitted under the original id
@@ -626,51 +587,32 @@ impl<'a> Driver<'a> {
         }
     }
 
-    fn process_session(&mut self, d: SessionDecision) {
-        let Some(op_idx) = self.outstanding_session.remove(&d.seq) else {
-            self.stats
-                .mismatch(format!("unexpected session decision for seq {}", d.seq));
-            return;
-        };
-        let op = self.trace.ops[op_idx];
-        match d.outcome {
-            Ok(outcome) => {
-                let arch = self.archetype_of(op_idx);
-                let stats = &mut self.stats.per_archetype[arch];
-                stats.ops += 1;
-                let ok = match (op.expect, outcome.as_ref()) {
-                    (Expect::Delivered, SessionOutcome::Delivered { .. }) => {
-                        stats.delivered += 1;
-                        true
-                    }
-                    (
-                        Expect::RejectedFloor,
-                        SessionOutcome::Rejected {
-                            reason: SessionRejection::FloorDenied,
-                        },
-                    ) => {
-                        stats.rejected += 1;
-                        true
-                    }
-                    _ => false,
-                };
-                if !ok {
-                    self.stats.mismatch(format!(
-                        "op {op_idx} ({:?} by {} in group {}): expected {:?}, got {:?}",
-                        op.kind, op.member, op.group, op.expect, outcome
-                    ));
-                }
-                self.record_latency(d.seq, op_idx, false);
-            }
-            Err(ClusterError::ShardDown(_)) | Err(ClusterError::Overloaded(_)) => {
-                self.sampled.remove(&d.seq);
-                self.retries.push((d.seq, op_idx));
-            }
-            Err(e) => {
-                self.stats
-                    .mismatch(format!("op {op_idx}: unexpected error {e:?}"));
-            }
-        }
+    fn process_floor(&mut self, d: Decision) {
+        self.process(d, true, |expect, outcome, stats| {
+            let counter = match (expect, outcome) {
+                (Expect::Granted, ArbitrationOutcome::Granted { .. }) => &mut stats.granted,
+                (Expect::Queued, ArbitrationOutcome::Queued { .. }) => &mut stats.queued,
+                (Expect::Denied, ArbitrationOutcome::Denied { .. }) => &mut stats.denied,
+                _ => return false,
+            };
+            *counter += 1;
+            true
+        });
+    }
+
+    fn process_session(&mut self, d: Decision<SessionOutcome>) {
+        self.process(d, false, |expect, outcome, stats| {
+            let floor_denied = SessionOutcome::Rejected {
+                reason: SessionRejection::FloorDenied,
+            };
+            let counter = match expect {
+                Expect::Delivered if outcome.is_delivered() => &mut stats.delivered,
+                Expect::RejectedFloor if *outcome == floor_denied => &mut stats.rejected,
+                _ => return false,
+            };
+            *counter += 1;
+            true
+        });
     }
 
     fn drain_ready(&mut self) {
@@ -689,18 +631,15 @@ impl<'a> Driver<'a> {
     fn resubmit_errored(&mut self) {
         self.retries.sort_unstable_by_key(|&(seq, _)| seq);
         for (seq, op_idx) in std::mem::take(&mut self.retries) {
-            let result = if self.trace.ops[op_idx].kind.is_floor() {
-                self.outstanding_floor.insert(seq, op_idx);
-                self.gw.resubmit(seq, self.build_floor(op_idx))
-            } else {
-                self.outstanding_session.insert(seq, op_idx);
-                self.gw.resubmit_session(seq, self.build_session(op_idx))
+            self.outstanding(op_idx).insert(seq, op_idx);
+            let result = match self.build_op(op_idx) {
+                Op::Floor(request) => self.gw.resubmit(seq, request),
+                Op::Session(op) => self.gw.resubmit_session(seq, op),
             };
             match result {
                 Ok(()) => self.stats.resubmits += 1,
                 Err(e) => {
-                    self.outstanding_floor.remove(&seq);
-                    self.outstanding_session.remove(&seq);
+                    self.outstanding(op_idx).remove(&seq);
                     self.stats
                         .mismatch(format!("op {op_idx}: resubmit failed: {e:?}"));
                 }
@@ -708,12 +647,11 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Flushes both buffers and blocks until every outstanding op has its
+    /// Flushes the buffer and blocks until every outstanding op has its
     /// final (non-transient) decision, retrying errored ops up to a bounded
     /// number of rounds.
     fn drain_all(&mut self) {
-        self.flush_floor();
-        self.flush_session();
+        self.flush();
         for _ in 0..MAX_RETRY_ROUNDS {
             while !self.outstanding_floor.is_empty() {
                 match self.gw.recv_decision() {
@@ -846,8 +784,7 @@ pub fn replay(trace: &Trace, opts: &ReplayOptions) -> ReplayReport {
                     // and settles every outstanding op before the storm
                     // continues.
                     cluster.crash_shard(ShardId(shard));
-                    driver.flush_floor();
-                    driver.flush_session();
+                    driver.flush();
                     cluster
                         .recover_shard(ShardId(shard))
                         .expect("shard recovery");
@@ -869,8 +806,7 @@ pub fn replay(trace: &Trace, opts: &ReplayOptions) -> ReplayReport {
                             // itself. A leader with nothing to settle stays
                             // active — then there is nothing to promote.
                             cluster.isolate_shard_leader(sid);
-                            driver.flush_floor();
-                            driver.flush_session();
+                            driver.flush();
                             let demoted = !cluster.is_shard_active(sid);
                             cluster.heal_shard_partition(sid);
                             if demoted {
@@ -890,8 +826,7 @@ pub fn replay(trace: &Trace, opts: &ReplayOptions) -> ReplayReport {
                             // just a plain crash/failover.
                             cluster.inject_corruption(sid, target);
                             cluster.crash_shard(sid);
-                            driver.flush_floor();
-                            driver.flush_session();
+                            driver.flush();
                             cluster
                                 .recover_shard(sid)
                                 .expect("repair from replica quorum");

@@ -3,11 +3,12 @@
 //! Three contracts from the ingest redesign are exercised end to end:
 //!
 //! * **Shed is loud and exactly-once** — with [`OverloadPolicy::Shed`], a
-//!   full queue answers the submission with [`ClusterError::Overloaded`] on
-//!   the submitting gateway's stream (never a silent drop), a resubmission
-//!   under the same request id eventually applies exactly once, and the
-//!   queue's high-water mark never exceeds the configured capacity: the
-//!   memory bound holds no matter how hard the storm pushes.
+//!   full queue answers the submission — floor request or session operation
+//!   alike — with [`ClusterError::Overloaded`] on the submitting gateway's
+//!   stream of that kind (never a silent drop), a resubmission under the
+//!   same request id eventually applies exactly once, and the queue's
+//!   high-water mark never exceeds the configured capacity: the memory bound
+//!   holds no matter how hard the storm pushes.
 //! * **Block never drops** — with [`OverloadPolicy::Block`] a 4-gateway
 //!   storm through a tiny queue delivers every single decision without a
 //!   shed, the storm merely throttling to the workers' drain rate.
@@ -19,8 +20,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use dmps_cluster::{
-    Cluster, ClusterConfig, ClusterError, GlobalGroupId, GlobalMemberId, GlobalRequest,
-    OverloadPolicy, ShardId,
+    Cluster, ClusterConfig, ClusterError, GlobalGroupId, GlobalMemberId, GlobalRequest, Op,
+    OverloadPolicy, SessionOp, ShardId,
 };
 use dmps_floor::{FcmMode, Member, Role};
 
@@ -72,41 +73,53 @@ fn shed_storm_is_bounded_loud_and_exactly_once() {
     const ROUNDS: usize = 12;
     let (cluster, gids, rosters) = build(4, 16, CAPACITY, OverloadPolicy::Shed);
     let total_sheds = AtomicU64::new(0);
+    let session_sheds = AtomicU64::new(0);
+    let chats_delivered = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for thread in 0..GATEWAYS {
             let gateway = cluster.gateway();
             let gids = &gids;
             let rosters = &rosters;
-            let total_sheds = &total_sheds;
+            let (total_sheds, session_sheds) = (&total_sheds, &session_sheds);
+            let chats_delivered = &chats_delivered;
             scope.spawn(move || {
-                // The storm wave: speak + release per group per round, all
-                // submitted in oversized batches.
-                let mut requests = Vec::new();
-                for _ in 0..ROUNDS {
+                // The storm wave: speak + chat + release per group per
+                // round, all submitted in oversized mixed-kind batches. Every
+                // chat line is unique, so a double delivery would show.
+                let mut ops = Vec::new();
+                for round in 0..ROUNDS {
                     for (gi, &gid) in gids.iter().enumerate() {
                         let me = rosters[gi][thread];
-                        requests.push(GlobalRequest::speak(gid, me));
-                        requests.push(GlobalRequest::release_floor(gid, me));
+                        let line = format!("t{thread} r{round}");
+                        ops.push(Op::Floor(GlobalRequest::speak(gid, me)));
+                        ops.push(Op::Session(SessionOp::chat(gid, me, line)));
+                        ops.push(Op::Floor(GlobalRequest::release_floor(gid, me)));
                     }
                 }
-                let mut by_seq: BTreeMap<u64, GlobalRequest> = BTreeMap::new();
-                for chunk in requests.chunks(64) {
-                    for (seq, request) in gateway.submit_batch(chunk).into_iter().zip(chunk) {
-                        assert!(by_seq.insert(seq, *request).is_none());
+                let mut floor: BTreeMap<u64, GlobalRequest> = BTreeMap::new();
+                let mut session: BTreeMap<u64, SessionOp> = BTreeMap::new();
+                for chunk in ops.chunks(64) {
+                    let seqs = gateway.submit_ops(chunk.to_vec());
+                    for (seq, op) in seqs.into_iter().zip(chunk) {
+                        let fresh = match op {
+                            Op::Floor(request) => floor.insert(seq, *request).is_none(),
+                            Op::Session(op) => session.insert(seq, op.clone()).is_none(),
+                        };
+                        assert!(fresh, "request ids are unique");
                     }
                 }
                 // Drain: every id resolves to exactly one applied decision;
                 // sheds are answered (loudly) and retried under the same id.
                 let mut applied: BTreeMap<u64, bool> = BTreeMap::new();
                 let mut sheds = 0u64;
-                while applied.len() < by_seq.len() {
+                while applied.len() < floor.len() {
                     let decision = gateway.recv_decision().unwrap();
                     match decision.outcome {
                         Err(ClusterError::Overloaded(_)) => {
                             sheds += 1;
                             std::thread::yield_now();
                             gateway
-                                .resubmit(decision.seq, by_seq[&decision.seq])
+                                .resubmit(decision.seq, floor[&decision.seq])
                                 .unwrap();
                         }
                         _ => {
@@ -118,20 +131,69 @@ fn shed_storm_is_bounded_loud_and_exactly_once() {
                     }
                 }
                 assert!(gateway.try_recv_decision().is_none(), "no stray decisions");
+                // The session half of the same storm, on the session stream:
+                // a shed chat is answered `Overloaded` there, and its same-id
+                // resubmission is decided exactly once.
+                let mut delivered: Vec<u64> = Vec::new();
+                let mut decided = 0usize;
+                while decided < session.len() {
+                    let decision = gateway.recv_session_decision().unwrap();
+                    match decision.outcome {
+                        Err(ClusterError::Overloaded(_)) => {
+                            sheds += 1;
+                            session_sheds.fetch_add(1, Ordering::Relaxed);
+                            std::thread::yield_now();
+                            let op = session[&decision.seq].clone();
+                            gateway.resubmit_session(decision.seq, op).unwrap();
+                        }
+                        outcome => {
+                            decided += 1;
+                            if outcome.unwrap().is_delivered() {
+                                delivered.push(decision.seq);
+                            }
+                        }
+                    }
+                }
+                assert!(gateway.try_recv_session_decision().is_none());
+                chats_delivered.fetch_add(delivered.len() as u64, Ordering::Relaxed);
                 total_sheds.fetch_add(sheds, Ordering::Relaxed);
                 // Exactly-once across shed/retry races: a fresh resubmission
                 // of an applied id replays from the journal.
-                let (&seq, request) = by_seq.iter().next().unwrap();
+                let (&seq, request) = floor.iter().next().unwrap();
                 gateway.resubmit(seq, *request).unwrap();
                 let replay = gateway.recv_decision().unwrap();
                 assert_eq!(replay.seq, seq);
                 assert!(replay.replayed, "applied id answered from the journal");
+                if let Some(&seq) = delivered.first() {
+                    gateway
+                        .resubmit_session(seq, session[&seq].clone())
+                        .unwrap();
+                    let replay = gateway.recv_session_decision().unwrap();
+                    assert_eq!(replay.seq, seq);
+                    assert!(replay.replayed, "delivered chat answered from the journal");
+                }
             });
         }
     });
     assert!(
+        session_sheds.load(Ordering::Relaxed) > 0,
+        "a third of every overflowing batch is session ops: some must shed"
+    );
+    // Exactly-once delivery: every chat line a gateway saw `Delivered` is in
+    // its group's log once, and nothing else is.
+    let mut logged = 0u64;
+    for &gid in &gids {
+        let chat = cluster.session_view(gid).unwrap().chat;
+        let mut lines: Vec<_> = chat.iter().collect();
+        lines.sort();
+        lines.dedup();
+        assert_eq!(lines.len(), chat.len(), "a chat line was delivered twice");
+        logged += chat.len() as u64;
+    }
+    assert_eq!(logged, chats_delivered.load(Ordering::Relaxed));
+    assert!(
         total_sheds.load(Ordering::Relaxed) > 0,
-        "64-request batches through a capacity-8 queue must shed"
+        "64-op batches through a capacity-8 queue must shed"
     );
     // The memory bound: no queue ever held more than its capacity.
     for s in 0..cluster.shard_count() {
