@@ -69,7 +69,7 @@ fn campus(
     dedup_window: usize,
     trace_sampling: u64,
 ) -> (Cluster, Lectures) {
-    let mut cluster = Cluster::new(ClusterConfig {
+    let cluster = Cluster::new(ClusterConfig {
         trace_sampling,
         // Keep the shard-side durability work lean so the bench isolates
         // ingest cost. The throughput axes run with dedup off — the same

@@ -33,7 +33,7 @@ const MEMBERS: usize = 3;
 /// A campus where every group is floor-active: member 0 holds the token and
 /// member 1 queues behind it.
 fn busy_campus() -> (Cluster, Vec<(GlobalGroupId, Vec<GlobalMemberId>)>) {
-    let mut cluster = Cluster::new(ClusterConfig {
+    let cluster = Cluster::new(ClusterConfig {
         snapshot_every: 0,
         snapshot_every_bytes: 0,
         dedup_window: 256,

@@ -44,7 +44,7 @@ const INGEST_BAR: f64 = 0.85;
 type Lectures = Vec<(GlobalGroupId, Vec<GlobalMemberId>)>;
 
 fn campus(replicas: usize) -> (Cluster, Lectures) {
-    let mut cluster = Cluster::new(ClusterConfig {
+    let cluster = Cluster::new(ClusterConfig {
         replicas,
         // Durability knobs match the gateway_ingest throughput axes so the
         // unreplicated comparator is the same machine measured there.

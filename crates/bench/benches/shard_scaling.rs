@@ -4,8 +4,8 @@
 //! A fixed campus (192 Equal Control groups × 3 members) is served by 1, 2,
 //! 4 and 8 shards with a production-shaped checkpoint cadence (event
 //! cadence 128, differential chain). Each iteration pushes one speak wave
-//! plus a release wave through every group via the batched
-//! [`dmps_cluster::Cluster::flush`] path. On multi-core hosts
+//! plus a release wave through every group via the streamed submit +
+//! [`dmps_cluster::Gateway::collect_decisions`] path. On multi-core hosts
 //! throughput rises with the shard count (per-shard workers run in
 //! parallel). On a single-core host the curve used to rise too — each
 //! cadence checkpoint serialized the whole shard, so per-shard checkpoint
@@ -23,7 +23,7 @@ const GROUPS: usize = 192;
 const MEMBERS: usize = 3;
 
 fn campus(shards: usize) -> (Cluster, Vec<(GlobalGroupId, Vec<GlobalMemberId>)>) {
-    let mut cluster = Cluster::new(ClusterConfig {
+    let cluster = Cluster::new(ClusterConfig {
         snapshot_every: 128,
         snapshot_every_bytes: 0,
         ..ClusterConfig::with_shards(shards)
@@ -60,7 +60,7 @@ fn bench_shard_scaling(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{shards}-shards")),
             &shards,
             |b, &shards| {
-                let (mut cluster, lectures) = campus(shards);
+                let (cluster, lectures) = campus(shards);
                 b.iter(|| {
                     for (gid, roster) in &lectures {
                         for &member in roster {
@@ -69,7 +69,9 @@ fn bench_shard_scaling(c: &mut Criterion) {
                                 .expect("routable");
                         }
                     }
-                    let decisions = cluster.flush();
+                    let decisions = cluster
+                        .collect_decisions(GROUPS * MEMBERS)
+                        .expect("pipelines alive");
                     // Drain every token so state does not accumulate across
                     // iterations: each member releases in turn, emptying the
                     // queue the speak wave built.
@@ -80,7 +82,9 @@ fn bench_shard_scaling(c: &mut Criterion) {
                                 .expect("routable");
                         }
                     }
-                    let releases = cluster.flush();
+                    let releases = cluster
+                        .collect_decisions(GROUPS * MEMBERS)
+                        .expect("pipelines alive");
                     (decisions.len(), releases.len())
                 })
             },

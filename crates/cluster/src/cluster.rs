@@ -1,5 +1,5 @@
 //! The federation: a shared directory plus per-shard worker pipelines, with
-//! [`Cluster`] as the single-caller façade.
+//! [`Cluster`] as the owner/admin handle.
 //!
 //! The concurrent machinery lives in the crate-private `Core`: a
 //! [`Directory`] of placements/membership taken by `&self`, and one
@@ -12,12 +12,11 @@
 //! group is frozen by a live handoff), and its [`Reply`] streams back to the
 //! submitting gateway.
 //!
-//! [`Cluster`] wraps one default gateway behind the original single-threaded
-//! API so pre-refactor call sites migrate mechanically: `submit` + `flush`
-//! still return decisions sorted by submission order, `request` still
-//! round-trips synchronously. Every shard always works in parallel behind
-//! its queue, so `flush` merely awaits the decisions of this façade's
-//! outstanding submissions.
+//! The public surface is split by actor: participant ops (groups,
+//! membership, invitations, submits, reads) are [`Gateway`]'s; the operator's
+//! [`Cluster`] owns the pipelines' lifetime, carries topology, faults,
+//! leader-side inspection and telemetry, and *lends* the gateway it owns
+//! through `Deref` — `cluster.submit(..)` is that gateway's method.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::channel;
@@ -27,7 +26,7 @@ use dmps_floor::arbiter::ArbiterStats;
 use dmps_floor::snapshot::EventOutcome;
 use dmps_floor::{
     ArbiterEvent, ArbitrationOutcome, FcmMode, FloorArbiter, FloorRequest, FloorToken, GroupId,
-    InvitationStatus, Member, MemberId, RequestKind, Resource,
+    InvitationStatus, MemberId, RequestKind, Resource,
 };
 
 use crate::directory::{ClusterInvitation, Directory, GroupPlacement, MemberRecord};
@@ -36,10 +35,10 @@ use crate::gateway::Gateway;
 use crate::instrument::ClusterTelemetry;
 use crate::op::{LocalOp, Op, Reply};
 use crate::poison::{read, write};
-use crate::queue::{OverloadPolicy, QueueStats};
+use crate::queue::OverloadPolicy;
 use crate::replication::{lock_core, FollowerCore, ReplicaSet};
 use crate::ring::{HashRing, ShardId};
-use crate::session::{GroupSession, SessionEvent, SessionOp, SessionOutcome};
+use crate::session::{GroupSession, SessionEvent, SessionOutcome};
 use crate::shard::{CorruptionTarget, GlobalGroupId, GlobalMemberId, Shard, ShardView};
 use crate::worker::{BarrierFn, ReplyRegistry, ReplyTo, ShardCommand, ShardWorker};
 use dmps_telemetry::Stage as TraceStage;
@@ -86,10 +85,6 @@ pub struct ClusterConfig {
     /// How many commands a shard worker drains — and group-commits as one
     /// log append with one snapshot-cadence check — per wakeup (minimum 1).
     pub ingest_batch: usize,
-    /// How many request ids a gateway leases from the shared directory
-    /// counter at a time (minimum 1). Larger leases take the counter off
-    /// the submit hot path at the cost of sparser id spaces.
-    pub seq_lease: u64,
     /// End-to-end pipeline tracing rate: one in every `trace_sampling`
     /// submissions carries a [`crate::telemetry::TraceSpan`]
     /// stamped at each pipeline stage
@@ -109,11 +104,6 @@ pub struct ClusterConfig {
     /// (defaults to [`dmps_simnet::Link::replica`], an intra-datacenter
     /// profile). Loss on this link is healed by leader retransmission.
     pub replica_link: dmps_simnet::Link,
-    /// Maximum group-committed batches a worker keeps in flight awaiting
-    /// quorum acks before it stalls on the oldest (minimum 1). This is the
-    /// quorum pipeline's depth: higher tolerates more ack latency before
-    /// ingest stalls, at the cost of decision-release latency under loss.
-    pub replica_pipeline: usize,
 }
 
 impl ClusterConfig {
@@ -130,16 +120,13 @@ impl ClusterConfig {
             queue_capacity: 4096,
             overload: OverloadPolicy::Block,
             ingest_batch: 64,
-            seq_lease: 64,
             trace_sampling: 0,
             replicas: 0,
             replica_link: dmps_simnet::Link::replica(),
-            replica_pipeline: 4,
         }
     }
 
-    /// Builder-style replica-count override (keeps the default link and
-    /// pipeline depth).
+    /// Builder-style replica-count override (keeps the default link).
     pub fn with_replicas(mut self, replicas: usize) -> Self {
         self.replicas = replicas;
         self
@@ -236,8 +223,8 @@ impl GlobalRequestKind {
 /// the same envelope around a [`SessionOutcome`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision<O = ArbitrationOutcome> {
-    /// The request id ([`Gateway::submit`](crate::Gateway::submit) /
-    /// [`Cluster::submit`] sequence number).
+    /// The request id ([`Gateway::submit`](crate::Gateway::submit) sequence
+    /// number).
     pub seq: u64,
     /// The group the op addressed.
     pub group: GlobalGroupId,
@@ -405,14 +392,14 @@ fn queue_position_in(
 
 /// The concurrent heart of the control plane: the shared [`Directory`] and
 /// the per-shard worker queues. Shared via `Arc` by every [`Gateway`] and the
-/// [`Cluster`] façade.
+/// owning [`Cluster`].
 #[derive(Debug)]
 pub(crate) struct Core {
     config: ClusterConfig,
-    directory: Directory,
+    pub(crate) directory: Directory,
     /// Gateway reply channels, registered once per gateway; commands carry a
     /// small handle instead of a cloned `Sender`. Shared with every worker.
-    registry: Arc<ReplyRegistry>,
+    pub(crate) registry: Arc<ReplyRegistry>,
     workers: RwLock<Vec<ShardWorker>>,
     /// Groups frozen by an in-flight live handoff, each with the streamed
     /// submissions that arrived during its frozen window. Presence of the
@@ -431,78 +418,40 @@ pub(crate) struct Core {
     /// Cluster-wide metrics registry, span sampler and span log, shared with
     /// every gateway and worker (see the `instrument` module for the metric
     /// namespace).
-    telemetry: ClusterTelemetry,
+    pub(crate) telemetry: ClusterTelemetry,
 }
 
 impl Core {
     pub(crate) fn new(config: ClusterConfig) -> Self {
-        let ring = HashRing::new(config.shards, config.vnodes);
-        let registry = Arc::new(ReplyRegistry::default());
-        let telemetry = ClusterTelemetry::new(config.trace_sampling);
-        let workers = (0..config.shards)
-            .map(|i| {
-                let mut shard = Shard::new(ShardId(i), config.snapshot_every, config.dedup_window);
-                shard.set_snapshot_policy(config.snapshot_every_bytes, config.snapshot_chain);
-                shard.set_metrics(telemetry.shard(i));
-                ShardWorker::spawn(
-                    shard,
-                    registry.clone(),
-                    config.queue_capacity,
-                    config.ingest_batch,
-                    telemetry.worker(i),
-                    config.replicas,
-                    config.replica_link,
-                    config.replica_pipeline,
-                    telemetry.replica(i),
-                )
-            })
-            .collect();
-        Core {
+        let mut core = Core {
             config,
-            directory: Directory::new(ring),
-            registry,
-            workers: RwLock::new(workers),
-            parked: RwLock::new(BTreeMap::new()),
-            telemetry,
-        }
+            directory: Directory::new(HashRing::new(config.shards, config.vnodes)),
+            registry: Arc::default(),
+            workers: RwLock::default(),
+            parked: RwLock::default(),
+            telemetry: ClusterTelemetry::new(config.trace_sampling),
+        };
+        let workers = (0..config.shards).map(|i| core.spawn_worker(ShardId(i)));
+        core.workers = RwLock::new(workers.collect());
+        core
     }
 
-    /// The shared telemetry state (metrics registry, span sampler, span
-    /// log).
-    pub(crate) fn telemetry(&self) -> &ClusterTelemetry {
-        &self.telemetry
-    }
-
-    pub(crate) fn directory(&self) -> &Directory {
-        &self.directory
-    }
-
-    pub(crate) fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    pub(crate) fn registry(&self) -> &Arc<ReplyRegistry> {
-        &self.registry
+    /// Builds shard `id` under this cluster's durability policy and spawns
+    /// the worker pipeline that owns it.
+    fn spawn_worker(&self, id: ShardId) -> ShardWorker {
+        let config = &self.config;
+        let mut shard = Shard::new(id, config.snapshot_every, config.dedup_window);
+        shard.set_snapshot_policy(config.snapshot_every_bytes, config.snapshot_chain);
+        shard.set_metrics(self.telemetry.shard(id.0));
+        ShardWorker::spawn(shard, config, &self.telemetry, self.registry.clone())
     }
 
     /// Runs `f` with `shard`'s worker handle. Panics for an out-of-range id
     /// (shard ids come from this cluster).
-    fn with_worker<R>(&self, shard: ShardId, f: impl FnOnce(&ShardWorker) -> R) -> R {
+    pub(crate) fn with_worker<R>(&self, shard: ShardId, f: impl FnOnce(&ShardWorker) -> R) -> R {
         let workers = read(&self.workers);
         let worker = workers.get(shard.0);
         f(worker.unwrap_or_else(|| panic!("shard {shard} out of range")))
-    }
-
-    /// Occupancy statistics of one shard's bounded ingest queue (panics for
-    /// an out-of-range id).
-    pub(crate) fn queue_stats(&self, shard: ShardId) -> QueueStats {
-        self.with_worker(shard, ShardWorker::stats)
-    }
-
-    /// Restarts the peak-occupancy window of one shard's ingest queue
-    /// (panics for an out-of-range id).
-    pub(crate) fn reset_queue_peak(&self, shard: ShardId) {
-        self.with_worker(shard, ShardWorker::reset_peak);
     }
 
     /// Answers a submission on its reply route without involving a shard —
@@ -537,6 +486,15 @@ impl Core {
 
     pub(crate) fn shard_count(&self) -> usize {
         read(&self.workers).len()
+    }
+
+    /// Validates a caller-chosen placement target: shard ids the cluster
+    /// hands out itself are always in range, one named from outside is not.
+    fn known_target(&self, target: Option<ShardId>) -> Result<Option<ShardId>> {
+        match target {
+            Some(s) if s.0 >= self.shard_count() => Err(ClusterError::UnknownShard(s)),
+            known => Ok(known),
+        }
     }
 
     /// Runs `f` on the worker thread owning `shard`, with the shard and its
@@ -1016,13 +974,6 @@ impl Core {
         Ok(())
     }
 
-    pub(crate) fn set_shard_resource(&self, shard: ShardId, resource: Resource) -> Result<()> {
-        self.with_shard(shard, move |s| {
-            s.apply(ArbiterEvent::SetResource { resource })
-        })?;
-        Ok(())
-    }
-
     // ----- cross-shard invitations -----------------------------------------
 
     pub(crate) fn invite(
@@ -1033,6 +984,7 @@ impl Core {
         mode: FcmMode,
         target: Option<ShardId>,
     ) -> Result<(GlobalGroupId, u64)> {
+        let target = self.known_target(target)?;
         let parent_placement = self.directory.placement(parent)?;
         let parent_local = parent_placement.local;
         // Membership checks against the parent shard's arbiter.
@@ -1109,74 +1061,19 @@ impl Core {
 
     // ----- failure, recovery, scale-out ------------------------------------
 
-    pub(crate) fn crash_shard(&self, shard: ShardId) {
-        self.with_shard(shard, |s| s.crash());
-    }
-
-    /// Brings a crashed shard back: with followers configured the most
-    /// caught-up one is promoted (tail-catch-up), otherwise the standby
-    /// replays snapshot-plus-log-suffix.
-    pub(crate) fn recover_shard(&self, shard: ShardId) -> Result<()> {
-        // Promotion needs both halves: the shard and its replica set.
-        self.control(shard, ShardCommand::With, |s, r| r.promote(s))
-    }
-
     pub(crate) fn is_shard_active(&self, shard: ShardId) -> bool {
         self.with_shard(shard, |s| s.is_active())
-    }
-
-    pub(crate) fn isolate_shard_leader(&self, shard: ShardId) {
-        self.with_shard_fault(shard, |_, r| r.partition_leader());
-    }
-
-    pub(crate) fn isolate_shard_follower(&self, shard: ShardId, follower: usize) {
-        self.with_shard_fault(shard, move |_, r| r.partition_follower(follower));
-    }
-
-    pub(crate) fn heal_shard_partition(&self, shard: ShardId) {
-        self.with_shard_fault(shard, |_, r| r.heal_partition());
-    }
-
-    pub(crate) fn inject_corruption(&self, shard: ShardId, target: CorruptionTarget) -> bool {
-        self.with_shard_fault(shard, move |s, _| s.inject_corruption(target))
-    }
-
-    pub(crate) fn inject_follower_corruption(&self, shard: ShardId, follower: usize) -> bool {
-        self.with_shard_fault(shard, move |_, r| r.inject_follower_corruption(follower))
-    }
-
-    pub(crate) fn arbiter(&self, shard: ShardId) -> FloorArbiter {
-        self.with_shard(shard, |s| s.arbiter().clone())
     }
 
     pub(crate) fn shard_view(&self, shard: ShardId) -> ShardView {
         self.with_shard(shard, |s| s.view())
     }
 
-    pub(crate) fn shard_stats(&self) -> Vec<(ShardId, ArbiterStats)> {
-        (0..self.shard_count())
-            .map(|i| (ShardId(i), self.shard_view(ShardId(i)).stats))
-            .collect()
-    }
-
     pub(crate) fn add_shard(&self) -> ShardId {
         let mut workers = write(&self.workers);
         let id = self.directory.grow_ring();
         debug_assert_eq!(id.0, workers.len());
-        let mut shard = Shard::new(id, self.config.snapshot_every, self.config.dedup_window);
-        shard.set_snapshot_policy(self.config.snapshot_every_bytes, self.config.snapshot_chain);
-        shard.set_metrics(self.telemetry.shard(id.0));
-        workers.push(ShardWorker::spawn(
-            shard,
-            self.registry.clone(),
-            self.config.queue_capacity,
-            self.config.ingest_batch,
-            self.telemetry.worker(id.0),
-            self.config.replicas,
-            self.config.replica_link,
-            self.config.replica_pipeline,
-            self.telemetry.replica(id.0),
-        ));
+        workers.push(self.spawn_worker(id));
         id
     }
 
@@ -1327,6 +1224,7 @@ impl Core {
         group: GlobalGroupId,
         target: Option<ShardId>,
     ) -> Result<HandoffTicket> {
+        let target = self.known_target(target)?;
         let placement = self.directory.placement(group)?;
         let target = target.unwrap_or_else(|| self.directory.shard_for(group.0));
         if target == placement.shard {
@@ -1511,9 +1409,7 @@ impl Core {
                 // Destination failure: abort back to the source. A partially
                 // installed destination group is an orphan its directory
                 // never points at — harmless, and its shard was down anyway.
-                let source = ticket.source;
-                let _ = self.with_shard(source, move |s| s.handoff_abort(group));
-                self.unfreeze_and_redrive(group);
+                let _ = self.handoff_abort(ticket);
                 Err(e)
             }
         }
@@ -1604,20 +1500,53 @@ impl Core {
     }
 }
 
-/// The sharded multi-arbiter control plane, single-caller façade.
+/// The sharded multi-arbiter control plane: the owner/admin handle.
 ///
-/// For concurrent multi-gateway ingest, clone the handle returned by
-/// [`Cluster::gateway`] — every clone shares this cluster's directory and
-/// shard pipelines but streams decisions to its own channel.
+/// It owns the shard pipelines and carries the operator's surface: topology,
+/// faults, leader-side inspection, telemetry. Participant traffic belongs to
+/// [`Gateway`]: the cluster lends the one it owns through `Deref`, and
+/// [`Cluster::gateway`] hands out more — each shares this cluster's directory
+/// and shard pipelines but streams decisions to its own channel.
+///
+/// ```
+/// use dmps_cluster::{Cluster, ClusterConfig, GlobalRequest};
+/// use dmps_floor::{FcmMode, Member, Role};
+///
+/// let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
+/// // Participant ops resolve to the lent gateway's methods...
+/// let g = cluster.create_group("lecture", FcmMode::EqualControl).unwrap();
+/// let m = cluster.register_member(Member::new("t", Role::Chair));
+/// cluster.join_group(g, m).unwrap();
+/// let seqs = cluster.submit_batch(&[
+///     GlobalRequest::speak(g, m),
+///     GlobalRequest::release_floor(g, m),
+/// ]);
+/// let decisions = cluster.collect_decisions(seqs.len()).unwrap();
+/// assert_eq!(decisions[0].seq, seqs[0]);
+/// assert!(decisions.iter().all(|d| d.outcome.as_ref().unwrap().is_granted()));
+/// // ...faults and recovery are the cluster's own.
+/// let shard = cluster.placement(g).unwrap().shard;
+/// cluster.crash_shard(shard);
+/// assert!(!cluster.is_shard_active(shard));
+/// cluster.recover_shard(shard).unwrap();
+/// cluster.check_invariants().unwrap();
+/// ```
 #[derive(Debug)]
 pub struct Cluster {
-    core: Arc<Core>,
-    /// The façade's own gateway (the network simulator's shard hosts apply
-    /// ops through it too).
+    pub(crate) core: Arc<Core>,
+    /// The gateway this cluster lends through `Deref` (the network
+    /// simulator's shard hosts apply ops through it too).
     pub(crate) gateway: Gateway,
-    /// Requests submitted through this façade whose decisions have not been
-    /// collected by a flush yet.
-    pending: usize,
+}
+
+impl std::ops::Deref for Cluster {
+    type Target = Gateway;
+
+    /// The cluster's own gateway: every participant op called on a
+    /// `Cluster` is this gateway's method.
+    fn deref(&self) -> &Gateway {
+        &self.gateway
+    }
 }
 
 impl Cluster {
@@ -1626,18 +1555,12 @@ impl Cluster {
     pub fn new(config: ClusterConfig) -> Self {
         let core = Arc::new(Core::new(config));
         let gateway = Gateway::new(core.clone());
-        Cluster {
-            core,
-            gateway,
-            pending: 0,
-        }
+        Cluster { core, gateway }
     }
 
-    /// A fresh concurrent ingest handle onto this cluster (each handle
-    /// receives its own decision stream; clone it for more). Deliberately
-    /// *not* a borrow of the façade's internal gateway: submissions on that
-    /// channel would desynchronize the [`Cluster::pending_requests`]
-    /// accounting [`Cluster::flush`] relies on.
+    /// A fresh concurrent ingest handle onto this cluster: a clone of the
+    /// lent gateway, with its own decision stream and its own
+    /// read-your-writes bound (clone it for more).
     pub fn gateway(&self) -> Gateway {
         self.gateway.clone()
     }
@@ -1651,12 +1574,12 @@ impl Cluster {
 
     /// Number of groups in the directory.
     pub fn group_count(&self) -> usize {
-        self.core.directory().group_count()
+        self.core.directory.group_count()
     }
 
     /// Number of registered members.
     pub fn member_count(&self) -> usize {
-        self.core.directory().member_count()
+        self.core.directory.member_count()
     }
 
     /// An owned copy of the shard's arbiter, for inspection. The shard's
@@ -1667,7 +1590,7 @@ impl Cluster {
     ///
     /// Panics for an out-of-range id (shard ids come from this cluster).
     pub fn arbiter(&self, shard: ShardId) -> FloorArbiter {
-        self.core.arbiter(shard)
+        self.core.with_shard(shard, |s| s.arbiter().clone())
     }
 
     /// Health and counters of one shard.
@@ -1679,87 +1602,31 @@ impl Cluster {
         self.core.shard_view(shard)
     }
 
-    /// Where a group currently lives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownGroup`] for an unknown id.
-    pub fn placement(&self, group: GlobalGroupId) -> Result<GroupPlacement> {
-        self.core.directory().placement(group)
-    }
-
     /// The member's dense id on a shard, if instantiated there.
     ///
     /// # Errors
     ///
     /// Returns unknown-member / not-on-shard errors.
     pub fn local_member(&self, member: GlobalMemberId, shard: ShardId) -> Result<MemberId> {
-        self.core.directory().local_member(member, shard)
+        self.core.directory.local_member(member, shard)
     }
 
     /// The global member a shard-local id belongs to, if instantiated there
     /// (the reverse of [`Cluster::local_member`]).
     pub fn global_member(&self, shard: ShardId, local: MemberId) -> Option<GlobalMemberId> {
-        self.core.directory().global_of(shard, local)
+        self.core.directory.global_of(shard, local)
     }
 
     /// Aggregate floor statistics per shard.
     pub fn shard_stats(&self) -> Vec<(ShardId, ArbiterStats)> {
-        self.core.shard_stats()
+        (0..self.shard_count())
+            .map(|i| (ShardId(i), self.shard_view(ShardId(i)).stats))
+            .collect()
     }
 
     /// Every group owned by a shard.
     pub fn groups_on(&self, shard: ShardId) -> Vec<GlobalGroupId> {
-        self.core.directory().groups_on(shard)
-    }
-
-    /// The cluster-level invitation with the given id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownInvitation`] for an unknown id.
-    pub fn invitation(&self, id: u64) -> Result<ClusterInvitation> {
-        self.core.directory().invitation(id)
-    }
-
-    // ----- membership and groups -------------------------------------------
-
-    /// Registers a member with the cluster directory. The member is
-    /// instantiated on shards lazily, the first time it joins a group there.
-    pub fn register_member(&mut self, template: Member) -> GlobalMemberId {
-        self.core.directory().register_member(template)
-    }
-
-    /// Creates a top-level group, placed by consistent hashing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::ShardDown`] when the owning shard is failed.
-    pub fn create_group(
-        &mut self,
-        name: impl Into<String>,
-        mode: FcmMode,
-    ) -> Result<GlobalGroupId> {
-        self.core.create_group(name.into(), mode)
-    }
-
-    /// Adds a member to a group (instantiating it on the owning shard if
-    /// needed).
-    ///
-    /// # Errors
-    ///
-    /// Returns unknown-id and shard-down errors.
-    pub fn join_group(&mut self, group: GlobalGroupId, member: GlobalMemberId) -> Result<()> {
-        self.core.join_group(group, member)
-    }
-
-    /// Removes a member from a group.
-    ///
-    /// # Errors
-    ///
-    /// Returns unknown-id and shard-down errors.
-    pub fn leave_group(&mut self, group: GlobalGroupId, member: GlobalMemberId) -> Result<()> {
-        self.core.leave_group(group, member)
+        self.core.directory.groups_on(shard)
     }
 
     /// Updates the resource snapshot of one shard (each shard host measures
@@ -1769,221 +1636,22 @@ impl Cluster {
     ///
     /// Returns [`ClusterError::ShardDown`] when the shard is failed.
     pub fn set_shard_resource(&mut self, shard: ShardId, resource: Resource) -> Result<()> {
-        self.core.set_shard_resource(shard, resource)
-    }
-
-    // ----- cross-shard invitations -----------------------------------------
-
-    /// A member invites another into a new private sub-group (Group
-    /// Discussion / Direct Contact). The sub-group is placed by consistent
-    /// hashing — typically on a *different* shard than the parent, which is
-    /// what lets breakout load spread across the cluster. Pass `target` to
-    /// pin the placement explicitly.
-    ///
-    /// Both parties must be members of the parent group.
-    ///
-    /// # Errors
-    ///
-    /// Returns unknown-id errors, [`ClusterError::Floor`] wrapping
-    /// [`dmps_floor::FloorError::NotAMember`] when either party is not in the
-    /// parent group, and shard-down errors.
-    pub fn invite(
-        &mut self,
-        parent: GlobalGroupId,
-        from: GlobalMemberId,
-        to: GlobalMemberId,
-        mode: FcmMode,
-        target: Option<ShardId>,
-    ) -> Result<(GlobalGroupId, u64)> {
-        self.core.invite(parent, from, to, mode, target)
-    }
-
-    /// The invitee answers a cluster-level invitation; accepting joins them
-    /// to the sub-group on its (possibly remote) shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownInvitation`],
-    /// [`ClusterError::NotTheInvitee`], [`ClusterError::AlreadyAnswered`] and
-    /// shard-down errors.
-    pub fn respond_invitation(
-        &mut self,
-        invitation: u64,
-        responder: GlobalMemberId,
-        accept: bool,
-    ) -> Result<InvitationStatus> {
-        self.core.respond_invitation(invitation, responder, accept)
-    }
-
-    // ----- request routing --------------------------------------------------
-
-    /// Allocates a cluster-unique request id without submitting anything —
-    /// for callers (like the network simulator's gateway) that transport
-    /// requests out-of-band and need idempotency keys for retries.
-    pub fn allocate_request_id(&self) -> u64 {
-        self.core.directory().alloc_seq()
-    }
-
-    /// Routes a request to its owning shard's worker queue and returns its
-    /// request id. The decision streams back asynchronously; collect it with
-    /// [`Cluster::flush`].
-    ///
-    /// # Errors
-    ///
-    /// Returns unknown-id errors when the request cannot be routed.
-    pub fn submit(&mut self, request: GlobalRequest) -> Result<u64> {
-        let seq = self.gateway.submit(request)?;
-        self.pending += 1;
-        Ok(seq)
-    }
-
-    /// Routes a whole batch of requests with amortized costs — one
-    /// request-id lease, one directory pass, one queue reservation per
-    /// owning shard — and returns their request ids in submission order.
-    /// Collect the decisions with [`Cluster::flush`].
-    ///
-    /// Unlike [`Cluster::submit`], per-request routing failures do not fail
-    /// the batch: every returned id resolves to exactly one decision, which
-    /// carries the arbitration outcome, the routing error, or
-    /// [`ClusterError::Overloaded`] if the owning shard shed the request
-    /// under a full queue.
-    ///
-    /// ```
-    /// use dmps_cluster::{Cluster, ClusterConfig, GlobalRequest};
-    /// use dmps_floor::{FcmMode, Member, Role};
-    ///
-    /// let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
-    /// let g = cluster.create_group("lecture", FcmMode::EqualControl).unwrap();
-    /// let m = cluster.register_member(Member::new("t", Role::Chair));
-    /// cluster.join_group(g, m).unwrap();
-    /// let seqs = cluster.submit_batch(&[
-    ///     GlobalRequest::speak(g, m),
-    ///     GlobalRequest::release_floor(g, m),
-    /// ]);
-    /// let decisions = cluster.flush();
-    /// assert_eq!(decisions.len(), 2);
-    /// assert_eq!(decisions[0].seq, seqs[0]);
-    /// assert!(decisions.iter().all(|d| d.outcome.as_ref().unwrap().is_granted()));
-    /// ```
-    pub fn submit_batch(&mut self, requests: &[GlobalRequest]) -> Vec<u64> {
-        let seqs = self.gateway.submit_batch(requests);
-        self.pending += seqs.len();
-        seqs
-    }
-
-    /// Submits and synchronously arbitrates one request (convenience wrapper
-    /// for interactive paths; batched traffic should use [`Cluster::submit`]
-    /// + flush).
-    ///
-    /// # Errors
-    ///
-    /// Returns routing and shard errors.
-    pub fn request(&mut self, request: GlobalRequest) -> Result<ArbitrationOutcome> {
-        self.gateway.request(request)
-    }
-
-    /// Synchronously arbitrates under a caller-provided request id — the
-    /// retransmission path: retrying an id whose decision is still in the
-    /// owning shard's dedup window returns the recorded outcome (second
-    /// element `true`) without re-applying the floor event.
-    ///
-    /// # Errors
-    ///
-    /// Returns routing and shard errors.
-    pub fn request_with_id(
-        &mut self,
-        seq: u64,
-        request: GlobalRequest,
-    ) -> Result<(ArbitrationOutcome, bool)> {
-        self.gateway.request_as(seq, request)
-    }
-
-    // ----- session operations ----------------------------------------------
-
-    /// Synchronously applies a session operation — a chat line, whiteboard
-    /// stroke, annotation or synchronized-media schedule — on the shard
-    /// owning its group. Content operations are floor-gated there exactly
-    /// like a single `DmpsServer` gates them
-    /// ([`dmps_floor::FloorArbiter::may_deliver`]); delivered operations are
-    /// appended to the shard's durable log, so session state survives a
-    /// crash-and-failover.
-    ///
-    /// # Errors
-    ///
-    /// Returns routing and shard errors.
-    pub fn session(&mut self, op: SessionOp) -> Result<SessionOutcome> {
-        self.gateway.session(op)
-    }
-
-    /// Synchronously applies a session operation under a caller-provided
-    /// request id — the retransmission path: retrying an id whose decision
-    /// is still in the owning shard's session dedup window returns the
-    /// recorded outcome (second element `true`) without delivering the
-    /// content twice.
-    ///
-    /// # Errors
-    ///
-    /// Returns routing and shard errors.
-    pub fn session_with_id(&mut self, seq: u64, op: SessionOp) -> Result<(SessionOutcome, bool)> {
-        self.gateway.session_as(seq, op)
-    }
-
-    /// The recorded session state of a group — its chat / whiteboard /
-    /// annotation logs and media schedule. With replication enabled the read
-    /// is served from a caught-up follower of the owning shard under this
-    /// façade's read-your-writes bound (see [`Gateway::session_view`]);
-    /// without replicas it reads from the leader as before.
-    ///
-    /// [`Gateway::session_view`]: crate::Gateway::session_view
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownGroup`] for an unknown id.
-    pub fn session_view(&self, group: GlobalGroupId) -> Result<GroupSession> {
-        self.gateway.session_view(group)
-    }
-
-    /// A member's current position in a group's floor queue — `Some(0)`
-    /// while holding the token, `Some(n)` when waiting `n`-th in line,
-    /// `None` when neither. With replication enabled the read is served from
-    /// a caught-up follower under this façade's read-your-writes bound.
-    ///
-    /// # Errors
-    ///
-    /// Returns unknown-id errors, and floor errors when the group does not
-    /// arbitrate a token.
-    pub fn queue_position(
-        &self,
-        group: GlobalGroupId,
-        member: GlobalMemberId,
-    ) -> Result<Option<usize>> {
-        self.gateway.queue_position(group, member)
-    }
-
-    // ----- backpressure -----------------------------------------------------
-
-    /// Occupancy statistics of one shard's bounded ingest queue: current
-    /// depth, configured capacity, and the high-water mark — which under a
-    /// [`OverloadPolicy::Shed`] storm never exceeds the capacity (the
-    /// memory bound the ROADMAP's backpressure item asked for).
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range id (shard ids come from this cluster).
-    pub fn queue_stats(&self, shard: ShardId) -> QueueStats {
-        self.core.queue_stats(shard)
+        self.core.with_shard(shard, move |s| {
+            s.apply(ArbiterEvent::SetResource { resource })
+        })?;
+        Ok(())
     }
 
     /// Restarts the peak-occupancy window of one shard's ingest queue:
     /// `peak_queued` drops to the current depth and grows from there.
-    /// Sampling [`Cluster::queue_stats`] and then resetting gives long-lived
+    /// Sampling [`Gateway::queue_stats`] and then resetting gives long-lived
     /// clusters per-window peaks instead of one all-time high-water mark.
     ///
     /// # Panics
     ///
     /// Panics for an out-of-range id (shard ids come from this cluster).
     pub fn reset_queue_peak(&self, shard: ShardId) {
-        self.core.reset_queue_peak(shard);
+        self.core.with_worker(shard, ShardWorker::reset_peak);
     }
 
     // ----- observability ----------------------------------------------------
@@ -1994,46 +1662,25 @@ impl Cluster {
     /// `gateway.G.submit_batch_size`, …). Shared with every gateway and
     /// worker, so it reflects the live cluster at any moment.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.core.telemetry().registry)
+        Arc::clone(&self.core.telemetry.registry)
     }
 
     /// The registry rendered as an aligned human-readable table (one metric
     /// per line, sorted by name).
     pub fn metrics_report(&self) -> String {
-        self.core.telemetry().registry.to_table()
+        self.core.telemetry.registry.to_table()
     }
 
     /// The registry rendered as a JSON object keyed by metric name.
     pub fn metrics_json(&self) -> String {
-        self.core.telemetry().registry.to_json()
+        self.core.telemetry.registry.to_json()
     }
 
     /// The most recent completed pipeline trace spans (oldest first), each
     /// stamped `submitted → enqueued → drained → committed → replied`.
     /// Empty unless [`ClusterConfig::trace_sampling`] is non-zero.
     pub fn recent_spans(&self) -> Vec<TraceSpan> {
-        self.core.telemetry().spans.snapshot()
-    }
-
-    // ----- request accounting ----------------------------------------------
-
-    /// Number of requests submitted through this façade whose decisions have
-    /// not been collected by a flush yet. (The shard pipelines may already
-    /// have arbitrated them — decisions wait in this façade's results
-    /// channel.)
-    pub fn pending_requests(&self) -> usize {
-        self.pending
-    }
-
-    /// Collects the decisions of every outstanding [`Cluster::submit`],
-    /// sorted by request id (= submission order).
-    pub fn flush(&mut self) -> Vec<Decision> {
-        let decisions = self
-            .gateway
-            .collect_decisions(self.pending)
-            .expect("shard pipelines are alive");
-        self.pending = 0;
-        decisions
+        self.core.telemetry.spans.snapshot()
     }
 
     // ----- failure and recovery --------------------------------------------
@@ -2041,7 +1688,7 @@ impl Cluster {
     /// Crashes a shard's primary process. Requests routed to the shard fail
     /// with [`ClusterError::ShardDown`] until recovery.
     pub fn crash_shard(&mut self, shard: ShardId) {
-        self.core.crash_shard(shard);
+        self.core.with_shard(shard, |s| s.crash());
     }
 
     /// A standby recovers the shard from its snapshot + log. With followers
@@ -2057,7 +1704,9 @@ impl Cluster {
     /// as [`ClusterError::Floor`]. The shard stays quarantined (down, not
     /// serving) in that case.
     pub fn recover_shard(&mut self, shard: ShardId) -> Result<()> {
-        self.core.recover_shard(shard)
+        // Promotion needs both halves: the shard and its replica set.
+        self.core
+            .control(shard, ShardCommand::With, |s, r| r.promote(s))
     }
 
     /// Whether a shard is serving.
@@ -2074,21 +1723,23 @@ impl Cluster {
     /// [`Cluster::recover_shard`] (after [`Cluster::heal_shard_partition`])
     /// to fail over. A no-op on an unreplicated shard.
     pub fn isolate_shard_leader(&mut self, shard: ShardId) {
-        self.core.isolate_shard_leader(shard);
+        self.core
+            .with_shard_fault(shard, |_, r| r.partition_leader());
     }
 
     /// Fault injection: partitions `shard`'s leader away from one follower
     /// only (a no-op for an unknown one). The rest of the fleet keeps the
     /// quorum; the isolated follower is re-seeded by a resync once healed.
     pub fn isolate_shard_follower(&mut self, shard: ShardId, follower: usize) {
-        self.core.isolate_shard_follower(shard, follower);
+        self.core
+            .with_shard_fault(shard, move |_, r| r.partition_follower(follower));
     }
 
     /// Heals every partition on `shard`'s replication network (the inverse
     /// of [`Cluster::isolate_shard_leader`] and
     /// [`Cluster::isolate_shard_follower`]).
     pub fn heal_shard_partition(&mut self, shard: ShardId) {
-        self.core.heal_shard_partition(shard);
+        self.core.with_shard_fault(shard, |_, r| r.heal_partition());
     }
 
     /// Fault injection: silently corrupts one class of `shard`'s durable
@@ -2098,7 +1749,8 @@ impl Cluster {
     /// [`ClusterError::Corrupt`] when unreplicated). Returns `false` when
     /// the target does not currently exist (e.g. no snapshot yet).
     pub fn inject_corruption(&mut self, shard: ShardId, target: CorruptionTarget) -> bool {
-        self.core.inject_corruption(shard, target)
+        self.core
+            .with_shard_fault(shard, move |s, _| s.inject_corruption(target))
     }
 
     /// Fault injection: corrupts one **follower's** pending copy of `shard`'s
@@ -2106,7 +1758,8 @@ impl Cluster {
     /// mismatch, quarantines its copy and is re-shipped the segment by the
     /// leader. Returns `false` when that follower holds nothing to corrupt.
     pub fn inject_follower_corruption(&mut self, shard: ShardId, follower: usize) -> bool {
-        self.core.inject_follower_corruption(shard, follower)
+        self.core
+            .with_shard_fault(shard, move |_, r| r.inject_follower_corruption(follower))
     }
 
     // ----- scale-out --------------------------------------------------------
@@ -2129,10 +1782,10 @@ impl Cluster {
     ///
     /// Requests still queued for a migrated group keep routing to the old
     /// shard, where the group is left empty; they fail closed (aborted as
-    /// not-joined) rather than double-granting. Flush before rebalancing to
-    /// avoid that. A migrated group's slice of the decision journal moves
-    /// with it, so gateway retries of pre-migration request ids still replay
-    /// instead of double-applying.
+    /// not-joined) rather than double-granting. Collect outstanding decisions
+    /// before rebalancing to avoid that. A migrated group's slice of the
+    /// decision journal moves with it, so gateway retries of pre-migration
+    /// request ids still replay instead of double-applying.
     ///
     /// **Concurrency contract:** rebalancing is an administrative operation;
     /// gateways must stop submitting to the groups being moved until it
@@ -2260,25 +1913,13 @@ impl Cluster {
     pub fn handoff_abort(&mut self, ticket: HandoffTicket) -> Result<()> {
         self.core.handoff_abort(ticket)
     }
-
-    // ----- invariants -------------------------------------------------------
-
-    /// Checks the floor-state invariants on every active shard, plus the
-    /// cluster-level ones: every directory entry points at an existing local
-    /// group, and every global member maps to distinct local ids per shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        self.core.check_invariants()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmps_floor::Role;
+    use crate::session::SessionOp;
+    use dmps_floor::{Member, Role};
 
     fn cluster_with_groups(
         shards: usize,
@@ -2286,7 +1927,7 @@ mod tests {
         members_per_group: usize,
         mode: FcmMode,
     ) -> (Cluster, Vec<GlobalGroupId>, Vec<Vec<GlobalMemberId>>) {
-        let mut cluster = Cluster::new(ClusterConfig::with_shards(shards));
+        let cluster = Cluster::new(ClusterConfig::with_shards(shards));
         let mut gids = Vec::new();
         let mut rosters = Vec::new();
         for g in 0..groups {
@@ -2322,16 +1963,14 @@ mod tests {
 
     #[test]
     fn batched_flush_matches_direct_requests() {
-        let (mut cluster, gids, rosters) = cluster_with_groups(3, 12, 3, FcmMode::EqualControl);
+        let (cluster, gids, rosters) = cluster_with_groups(3, 12, 3, FcmMode::EqualControl);
         let mut seqs = Vec::new();
         for (g, roster) in gids.iter().zip(&rosters) {
             for &m in roster {
                 seqs.push(cluster.submit(GlobalRequest::speak(*g, m)).unwrap());
             }
         }
-        assert_eq!(cluster.pending_requests(), 36);
-        let decisions = cluster.flush();
-        assert_eq!(cluster.pending_requests(), 0);
+        let decisions = cluster.collect_decisions(36).unwrap();
         assert_eq!(decisions.len(), 36);
         let seq_order: Vec<u64> = decisions.iter().map(|d| d.seq).collect();
         assert_eq!(seq_order, seqs, "decisions come back in submission order");
@@ -2360,25 +1999,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flush_is_equivalent_to_sequential() {
+    fn identically_driven_clusters_decide_identically() {
         let build = || cluster_with_groups(4, 40, 3, FcmMode::EqualControl);
-        let submit_all =
-            |cluster: &mut Cluster, gids: &[GlobalGroupId], rosters: &[Vec<GlobalMemberId>]| {
-                for (g, roster) in gids.iter().zip(rosters) {
-                    for &m in roster {
-                        cluster.submit(GlobalRequest::speak(*g, m)).unwrap();
-                    }
-                    cluster
-                        .submit(GlobalRequest::release_floor(*g, roster[0]))
-                        .unwrap();
+        let drive = |cluster: &Cluster, gids: &[GlobalGroupId], rosters: &[Vec<GlobalMemberId>]| {
+            for (g, roster) in gids.iter().zip(rosters) {
+                for &m in roster {
+                    cluster.submit(GlobalRequest::speak(*g, m)).unwrap();
                 }
-            };
-        let (mut sequential, gids, rosters) = build();
-        submit_all(&mut sequential, &gids, &rosters);
-        let seq_decisions = sequential.flush();
-        let (mut parallel, gids, rosters) = build();
-        submit_all(&mut parallel, &gids, &rosters);
-        let par_decisions = parallel.flush();
+                cluster
+                    .submit(GlobalRequest::release_floor(*g, roster[0]))
+                    .unwrap();
+            }
+            cluster.collect_decisions(40 * 4).unwrap()
+        };
+        let (sequential, gids, rosters) = build();
+        let seq_decisions = drive(&sequential, &gids, &rosters);
+        let (parallel, gids, rosters) = build();
+        let par_decisions = drive(&parallel, &gids, &rosters);
         // `commit` is the group-commit batch boundary a decision released
         // under — a durability position, deliberately timing-dependent — so
         // equivalence is over everything but it.
@@ -2400,7 +2037,7 @@ mod tests {
 
     #[test]
     fn cross_shard_invitation_spawns_subgroup_elsewhere() {
-        let (mut cluster, gids, rosters) = cluster_with_groups(4, 8, 4, FcmMode::FreeAccess);
+        let (cluster, gids, rosters) = cluster_with_groups(4, 8, 4, FcmMode::FreeAccess);
         let parent = gids[0];
         let parent_shard = cluster.placement(parent).unwrap().shard;
         // Pin the sub-group to a different shard explicitly.
@@ -2451,6 +2088,22 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_target_shard_is_a_typed_error() {
+        let (mut cluster, gids, rosters) = cluster_with_groups(2, 4, 2, FcmMode::EqualControl);
+        let (group, roster) = (gids[0], &rosters[0]);
+        let (ghost, mode) = (ShardId(cluster.shard_count()), FcmMode::GroupDiscussion);
+        let invited = cluster.invite(group, roster[0], roster[1], mode, Some(ghost));
+        assert_eq!(invited.unwrap_err(), ClusterError::UnknownShard(ghost));
+        let prepared = cluster.handoff_prepare(group, Some(ghost));
+        assert_eq!(prepared.unwrap_err(), ClusterError::UnknownShard(ghost));
+        assert_eq!(cluster.group_count(), 4, "no sub-group was placed");
+        // Nothing was frozen either: a frozen group would fail this fast.
+        let speak = GlobalRequest::speak(group, roster[0]);
+        assert!(cluster.request(speak).unwrap().is_granted());
+        cluster.check_invariants().unwrap();
+    }
+
+    #[test]
     fn crash_and_recovery_preserve_floor_invariants() {
         let (mut cluster, gids, rosters) = cluster_with_groups(4, 24, 4, FcmMode::EqualControl);
         // Build up token state everywhere.
@@ -2459,7 +2112,7 @@ mod tests {
                 cluster.submit(GlobalRequest::speak(*g, m)).unwrap();
             }
         }
-        cluster.flush();
+        cluster.collect_decisions(24 * 4).unwrap();
         let victim = cluster.placement(gids[0]).unwrap().shard;
         let reference = cluster.arbiter(victim);
         cluster.crash_shard(victim);
@@ -2468,7 +2121,7 @@ mod tests {
         let d = cluster
             .submit(GlobalRequest::release_floor(gids[0], rosters[0][0]))
             .unwrap();
-        let decisions = cluster.flush();
+        let decisions = cluster.collect_decisions(1).unwrap();
         assert_eq!(decisions[0].seq, d);
         assert!(matches!(
             decisions[0].outcome,
@@ -2516,7 +2169,7 @@ mod tests {
                 "active group {g} must be pinned"
             );
             let placement = cluster.placement(*g).unwrap();
-            if cluster.core.directory().shard_for(g.0) != placement.shard {
+            if cluster.core.directory.shard_for(g.0) != placement.shard {
                 assert!(
                     report.deferred.contains(g),
                     "pinned group {g} must be reported as deferred"
@@ -2647,7 +2300,7 @@ mod tests {
         // Pick a group the ring wants on the new shard.
         let group = *gids
             .iter()
-            .find(|g| cluster.core.directory().shard_for(g.0) == new)
+            .find(|g| cluster.core.directory.shard_for(g.0) == new)
             .expect("scale-out displaces some group");
         let idx = group.0 as usize;
         let source = cluster.placement(group).unwrap().shard;
@@ -2735,7 +2388,7 @@ mod tests {
 
     #[test]
     fn poisoned_routing_locks_do_not_take_submissions_down() {
-        let (mut cluster, gids, rosters) = cluster_with_groups(2, 2, 1, FcmMode::EqualControl);
+        let (cluster, gids, rosters) = cluster_with_groups(2, 2, 1, FcmMode::EqualControl);
         let core = cluster.core.clone();
         let poisoner = std::thread::spawn(move || {
             let _guard = core.parked.write().unwrap();
@@ -2747,7 +2400,8 @@ mod tests {
         let speak = GlobalRequest::speak(gids[0], rosters[0][0]);
         assert!(cluster.request(speak).unwrap().is_granted());
         cluster.submit_batch(&[GlobalRequest::speak(gids[1], rosters[1][0])]);
-        assert!(cluster.flush()[0].outcome.as_ref().unwrap().is_granted());
+        let decisions = cluster.collect_decisions(1).unwrap();
+        assert!(decisions[0].outcome.as_ref().unwrap().is_granted());
         cluster.check_invariants().unwrap();
     }
 
@@ -2798,7 +2452,7 @@ mod tests {
         let new = cluster.add_shard();
         let group = *gids
             .iter()
-            .find(|g| cluster.core.directory().shard_for(g.0) == new)
+            .find(|g| cluster.core.directory.shard_for(g.0) == new)
             .expect("scale-out displaces some group");
         let idx = group.0 as usize;
         let source = cluster.placement(group).unwrap().shard;
@@ -2913,8 +2567,9 @@ mod tests {
             let speak = GlobalRequest::speak(*g, roster[0]);
             speak_seqs.insert(*g, (cluster.submit(speak).unwrap(), speak));
         }
+        let decided = cluster.collect_decisions(gids.len()).unwrap();
         let originals: std::collections::BTreeMap<u64, Decision> =
-            cluster.flush().into_iter().map(|d| (d.seq, d)).collect();
+            decided.into_iter().map(|d| (d.seq, d)).collect();
         cluster.add_shard();
         let report = cluster.rebalance_active().unwrap();
         assert!(!report.migrated.is_empty());
@@ -2937,13 +2592,12 @@ mod tests {
     #[test]
     fn session_state_and_journal_follow_rebalanced_groups() {
         let (mut cluster, gids, rosters) = cluster_with_groups(3, 60, 2, FcmMode::FreeAccess);
+        let line = |g, m| SessionOp::chat(g, m, "before the move");
         let mut seqs = std::collections::BTreeMap::new();
         for (g, roster) in gids.iter().zip(&rosters) {
-            let seq = cluster.allocate_request_id();
-            let (outcome, replayed) = cluster
-                .session_with_id(seq, SessionOp::chat(*g, roster[0], "before the move"))
-                .unwrap();
-            assert!(outcome.is_delivered() && !replayed);
+            let seq = cluster.submit_session(line(*g, roster[0])).unwrap();
+            let first = cluster.recv_session_decision().unwrap();
+            assert!(first.outcome.unwrap().is_delivered() && !first.replayed);
             seqs.insert(*g, (seq, roster[0]));
         }
         cluster.add_shard();
@@ -2957,11 +2611,13 @@ mod tests {
             // gateway retry of the pre-migration id replays instead of
             // appending the line twice.
             let (seq, member) = seqs[g];
-            let (outcome, replayed) = cluster
-                .session_with_id(seq, SessionOp::chat(*g, member, "before the move"))
-                .unwrap();
-            assert!(replayed, "session journal entry for {g} must have migrated");
-            assert!(outcome.is_delivered());
+            cluster.resubmit_session(seq, line(*g, member)).unwrap();
+            let retry = cluster.recv_session_decision().unwrap();
+            assert!(
+                retry.seq == seq && retry.replayed,
+                "journal entry follows {g}"
+            );
+            assert!(retry.outcome.unwrap().is_delivered());
             assert_eq!(cluster.session_view(*g).unwrap().chat.len(), 1);
         }
         cluster.check_invariants().unwrap();
@@ -2980,8 +2636,9 @@ mod tests {
                 .submit(GlobalRequest::release_floor(*g, roster[0]))
                 .unwrap();
         }
+        let decided = cluster.collect_decisions(2 * gids.len()).unwrap();
         let originals: std::collections::BTreeMap<u64, Decision> =
-            cluster.flush().into_iter().map(|d| (d.seq, d)).collect();
+            decided.into_iter().map(|d| (d.seq, d)).collect();
         cluster.add_shard();
         let report = cluster.rebalance_idle().unwrap();
         assert!(!report.migrated.is_empty());

@@ -31,7 +31,7 @@
 //! use dmps_cluster::{Cluster, ClusterConfig};
 //! use dmps_floor::{FcmMode, Member, Role};
 //!
-//! let mut cluster = Cluster::new(ClusterConfig::with_shards(4));
+//! let cluster = Cluster::new(ClusterConfig::with_shards(4));
 //! let g = cluster.create_group("lecture", FcmMode::FreeAccess).unwrap();
 //! let m = cluster.register_member(Member::new("t", Role::Chair));
 //! cluster.join_group(g, m).unwrap();
@@ -138,19 +138,13 @@ impl Directory {
         self.next_member.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Allocates a cluster-unique request id (the idempotency key the shard
-    /// dedup window is keyed by).
-    pub(crate) fn alloc_seq(&self) -> u64 {
-        self.next_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Leases a contiguous block of `n` cluster-unique request ids with one
-    /// atomic operation, returning the first id of the block.
+    /// Leases a contiguous block of `n` cluster-unique request ids (the
+    /// idempotency keys the shard dedup windows are keyed by) with one atomic
+    /// operation, returning the first id of the block.
     ///
     /// This is what keeps id allocation off the ingest hot path: each
-    /// gateway leases a block and hands out ids locally
-    /// ([`ClusterConfig::seq_lease`](crate::ClusterConfig::seq_lease)), and
-    /// a batched submission leases exactly one block for the whole batch —
+    /// gateway leases a block and hands out ids locally, and a batched
+    /// submission leases exactly one block for the whole batch —
     /// instead of every request in the cluster hammering this one shared
     /// counter. Ids within a block are monotone, so a single gateway's
     /// request ids remain in submission order; unused tail ids of a lease

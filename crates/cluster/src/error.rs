@@ -34,9 +34,9 @@ pub enum ClusterError {
     NotTheInvitee(GlobalMemberId),
     /// An invitation was already answered.
     AlreadyAnswered(u64),
-    /// A group could not be migrated because its floor state is active
-    /// (token held or queued members).
-    GroupNotIdle(GlobalGroupId),
+    /// A caller-chosen shard id (an invitation's or a handoff's placement
+    /// target) names no shard of this cluster.
+    UnknownShard(ShardId),
     /// The group is frozen by an in-flight two-phase handoff; the operation
     /// is safe to retry once the handoff commits or aborts (streamed
     /// submissions are parked and re-driven automatically instead).
@@ -79,9 +79,7 @@ impl fmt::Display for ClusterError {
             ClusterError::UnknownInvitation(i) => write!(f, "unknown cluster invitation {i}"),
             ClusterError::NotTheInvitee(m) => write!(f, "member {m} is not the invitee"),
             ClusterError::AlreadyAnswered(i) => write!(f, "invitation {i} was already answered"),
-            ClusterError::GroupNotIdle(g) => {
-                write!(f, "group {g} has active floor state and cannot be migrated")
-            }
+            ClusterError::UnknownShard(s) => write!(f, "unknown cluster shard {s}"),
             ClusterError::GroupFrozen(g) => {
                 write!(f, "group {g} is frozen by an in-flight handoff")
             }
@@ -134,7 +132,7 @@ mod tests {
             ClusterError::UnknownInvitation(5),
             ClusterError::NotTheInvitee(GlobalMemberId(6)),
             ClusterError::AlreadyAnswered(7),
-            ClusterError::GroupNotIdle(GlobalGroupId(8)),
+            ClusterError::UnknownShard(ShardId(8)),
             ClusterError::GroupFrozen(GlobalGroupId(9)),
             ClusterError::HandoffUnnecessary(GlobalGroupId(10)),
             ClusterError::Overloaded(ShardId(1)),

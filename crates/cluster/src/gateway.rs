@@ -19,9 +19,8 @@
 //!   (read-mostly directory lookups, one bounded-queue push) and return its
 //!   cluster-unique request id. The submit path itself performs **no
 //!   per-request heap allocation**: the id comes from a leased block
-//!   ([`ClusterConfig::seq_lease`](crate::ClusterConfig::seq_lease)) instead
-//!   of a shared atomic, and the command carries a small copyable reply
-//!   handle instead of a cloned channel sender.
+//!   instead of a shared atomic, and the command carries a small copyable
+//!   reply handle instead of a cloned channel sender.
 //! * [`Gateway::submit_batch`] / [`Gateway::submit_session_batch`] /
 //!   [`Gateway::submit_ops`] are the vectored form — one id-lease, one
 //!   directory pass and one queue reservation per owning shard for a whole
@@ -78,7 +77,7 @@
 //! use dmps_cluster::{Cluster, ClusterConfig, GlobalRequest, SessionOp};
 //! use dmps_floor::{FcmMode, Member, Role};
 //!
-//! let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
+//! let cluster = Cluster::new(ClusterConfig::with_shards(2));
 //! let g = cluster.create_group("lecture", FcmMode::FreeAccess).unwrap();
 //! let gateway = cluster.gateway();
 //! let m = gateway.register_member(Member::new("teacher", Role::Chair));
@@ -116,7 +115,7 @@ use crate::queue::QueueStats;
 use crate::ring::ShardId;
 use crate::session::{GroupSession, SessionDecision, SessionOp, SessionOutcome};
 use crate::shard::{GlobalGroupId, GlobalMemberId};
-use crate::worker::{ReplyHandle, ReplyTo};
+use crate::worker::{ReplyHandle, ReplyTo, ShardWorker};
 
 /// This gateway's end of its one reply channel. Workers deliver replies
 /// coalesced (one `Vec` per gateway per drained batch, floor and session
@@ -159,6 +158,11 @@ impl Inbox {
     }
 }
 
+/// How many request ids a gateway leases from the shared directory counter
+/// at a time. Larger leases take the counter off the submit hot path at the
+/// cost of sparser id spaces.
+const SEQ_LEASE: u64 = 64;
+
 /// A leased block of request ids, handed out locally without touching the
 /// shared directory counter.
 #[derive(Debug)]
@@ -169,8 +173,9 @@ struct SeqLease {
 
 /// A concurrent ingest handle onto the sharded control plane.
 ///
-/// Created from [`Cluster::gateway`](crate::Cluster::gateway) and cloned
-/// freely; each clone receives the decisions of its own submissions only.
+/// Created from [`Cluster::gateway`](crate::Cluster::gateway) (or borrowed
+/// through the cluster's `Deref`) and cloned freely; each clone receives the
+/// decisions of its own submissions only.
 #[derive(Debug)]
 pub struct Gateway {
     core: Arc<Core>,
@@ -205,15 +210,15 @@ impl Drop for Gateway {
     fn drop(&mut self) {
         // Free the registry slot; in-flight decisions addressed to it are
         // dropped by the generation check, never delivered to a successor.
-        self.core.registry().unregister(self.handle);
+        self.core.registry.unregister(self.handle);
     }
 }
 
 impl Gateway {
     pub(crate) fn new(core: Arc<Core>) -> Self {
         let (tx, rx) = channel();
-        let handle = core.registry().register(tx);
-        let metrics = core.telemetry().gateway(handle.index());
+        let handle = core.registry.register(tx);
+        let metrics = core.telemetry.gateway(handle.index());
         Gateway {
             core,
             handle,
@@ -256,18 +261,17 @@ impl Gateway {
 
     /// Allocates `n` contiguous request ids from this gateway's lease,
     /// returning the first; the lease refills from the shared counter only
-    /// once per [`ClusterConfig::seq_lease`](crate::ClusterConfig::seq_lease)
-    /// ids. When the lease cannot cover the run, its remainder is discarded
-    /// and a fresh block (covering at least the run) is leased — ids stay
-    /// monotone per gateway, so decision ordering by id still equals
-    /// submission order on each gateway, and that is the contract
-    /// `collect_decisions`/`flush` ordering rests on, so a batch must never
+    /// once per `SEQ_LEASE` ids. When the lease cannot cover the run, its
+    /// remainder is discarded and a fresh block (covering at least the run)
+    /// is leased — ids stay monotone per gateway, so decision ordering by id
+    /// still equals submission order on each gateway, and that is the
+    /// contract `collect_decisions` ordering rests on, so a batch must never
     /// hand out newer ids while older lease ids are still unspent behind it.
     fn alloc_seq_run(&self, n: u64) -> u64 {
         let mut lease = lock(&self.lease);
         if lease.end - lease.next < n {
-            let block = n.max(self.core.config().seq_lease.max(1));
-            let start = self.core.directory().alloc_seq_block(block);
+            let block = n.max(SEQ_LEASE);
+            let start = self.core.directory.alloc_seq_block(block);
             lease.next = start;
             lease.end = start + block;
         }
@@ -417,30 +421,17 @@ impl Gateway {
     /// Returns routing and shard errors, including
     /// [`ClusterError::Overloaded`] when the owning shard shed the request.
     pub fn request(&self, request: GlobalRequest) -> Result<ArbitrationOutcome> {
-        self.request_as(self.alloc_seq_run(1), request)
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// Synchronous arbitration under a caller-provided id, folding the
-    /// released decision's commit position into this gateway's read bound —
-    /// the façade's retransmission path ([`Cluster::request_with_id`]).
-    ///
-    /// [`Cluster::request_with_id`]: crate::Cluster::request_with_id
-    pub(crate) fn request_as(
-        &self,
-        seq: u64,
-        request: GlobalRequest,
-    ) -> Result<(ArbitrationOutcome, bool)> {
+        let seq = self.alloc_seq_run(1);
         let Reply::Floor(decision) = self.apply_as(seq, Op::Floor(request))? else {
             unreachable!("a floor request is answered with a floor decision");
         };
-        decision.outcome.map(|o| ((*o).clone(), decision.replayed))
+        decision.outcome.map(|o| (*o).clone())
     }
 
     /// Synchronously applies one op under a caller-provided id and returns
     /// its whole reply, folding the released commit position into this
-    /// gateway's read bound — what [`Gateway::request_as`],
-    /// [`Gateway::session_as`] and the network simulator's shard hosts are
+    /// gateway's read bound — what [`Gateway::request`],
+    /// [`Gateway::session`] and the network simulator's shard hosts are
     /// views of.
     pub(crate) fn apply_as(&self, seq: u64, op: Op) -> Result<Reply> {
         let reply = self.core.request_raw(seq, op)?;
@@ -510,18 +501,11 @@ impl Gateway {
     /// [`ClusterError::Overloaded`] when the owning shard shed the
     /// operation.
     pub fn session(&self, op: SessionOp) -> Result<SessionOutcome> {
-        self.session_as(self.alloc_seq_run(1), op)
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// Synchronous session application under a caller-provided id, folding
-    /// the released decision's commit position into this gateway's read
-    /// bound — the session twin of [`Gateway::request_as`].
-    pub(crate) fn session_as(&self, seq: u64, op: SessionOp) -> Result<(SessionOutcome, bool)> {
+        let seq = self.alloc_seq_run(1);
         let Reply::Session(decision) = self.apply_as(seq, Op::Session(op))? else {
             unreachable!("a session op is answered with a session decision");
         };
-        decision.outcome.map(|o| ((*o).clone(), decision.replayed))
+        decision.outcome.map(|o| (*o).clone())
     }
 
     // ----- reads ------------------------------------------------------------
@@ -541,7 +525,7 @@ impl Gateway {
     ///
     /// Returns [`ClusterError::UnknownGroup`] for an unknown id.
     pub fn session_view(&self, group: GlobalGroupId) -> Result<GroupSession> {
-        let shard = self.core.directory().placement(group)?.shard;
+        let shard = self.core.directory.placement(group)?.shard;
         self.core
             .session_view_bounded(group, self.read_bound(shard))
     }
@@ -552,6 +536,10 @@ impl Gateway {
     /// follower-served view reports the *follower's* state: `log_retained`
     /// is its applied position and leader-only storage fields (log base,
     /// snapshot, dedup occupancy) read as zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an out-of-range id (shard ids come from this cluster).
     pub fn shard_view(&self, shard: ShardId) -> crate::ShardView {
         self.core.shard_view_bounded(shard, self.read_bound(shard))
     }
@@ -570,28 +558,31 @@ impl Gateway {
         group: GlobalGroupId,
         member: GlobalMemberId,
     ) -> Result<Option<usize>> {
-        let shard = self.core.directory().placement(group)?.shard;
+        let shard = self.core.directory.placement(group)?.shard;
         self.core
             .queue_position_bounded(group, member, self.read_bound(shard))
     }
 
     // ----- backpressure -----------------------------------------------------
 
-    /// Occupancy statistics of one shard's bounded ingest queue; see
-    /// [`Cluster::queue_stats`](crate::Cluster::queue_stats).
+    /// Occupancy statistics of one shard's bounded ingest queue: current
+    /// depth, configured capacity, and the high-water mark — which under a
+    /// [`OverloadPolicy::Shed`](crate::OverloadPolicy::Shed) storm never
+    /// exceeds the capacity.
     ///
     /// # Panics
     ///
     /// Panics for an out-of-range id (shard ids come from this cluster).
     pub fn queue_stats(&self, shard: ShardId) -> QueueStats {
-        self.core.queue_stats(shard)
+        self.core.with_worker(shard, ShardWorker::stats)
     }
 
     // ----- control plane ----------------------------------------------------
 
-    /// Registers a member with the cluster directory.
+    /// Registers a member with the cluster directory. The member is
+    /// instantiated on shards lazily, the first time it joins a group there.
     pub fn register_member(&self, template: Member) -> GlobalMemberId {
-        self.core.directory().register_member(template)
+        self.core.directory.register_member(template)
     }
 
     /// Creates a top-level group, placed by consistent hashing.
@@ -622,12 +613,20 @@ impl Gateway {
         self.core.leave_group(group, member)
     }
 
-    /// A member invites another into a new private sub-group; see
-    /// [`Cluster::invite`](crate::Cluster::invite).
+    /// A member invites another into a new private sub-group (Group
+    /// Discussion / Direct Contact). The sub-group is placed by consistent
+    /// hashing — typically on a *different* shard than the parent, which is
+    /// what lets breakout load spread across the cluster. Pass `target` to
+    /// pin the placement explicitly.
+    ///
+    /// Both parties must be members of the parent group.
     ///
     /// # Errors
     ///
-    /// Returns unknown-id, not-a-member and shard-down errors.
+    /// Returns unknown-id errors ([`ClusterError::UnknownShard`] for a
+    /// `target` this cluster does not have), [`ClusterError::Floor`] wrapping
+    /// [`dmps_floor::FloorError::NotAMember`] when either party is not in the
+    /// parent group, and shard-down errors.
     pub fn invite(
         &self,
         parent: GlobalGroupId,
@@ -639,11 +638,14 @@ impl Gateway {
         self.core.invite(parent, from, to, mode, target)
     }
 
-    /// The invitee answers a cluster-level invitation.
+    /// The invitee answers a cluster-level invitation; accepting joins them
+    /// to the sub-group on its (possibly remote) shard.
     ///
     /// # Errors
     ///
-    /// Returns invitation and shard-down errors.
+    /// Returns [`ClusterError::UnknownInvitation`],
+    /// [`ClusterError::NotTheInvitee`], [`ClusterError::AlreadyAnswered`] and
+    /// shard-down errors.
     pub fn respond_invitation(
         &self,
         invitation: u64,
@@ -659,7 +661,7 @@ impl Gateway {
     ///
     /// Returns [`ClusterError::UnknownInvitation`] for an unknown id.
     pub fn invitation(&self, id: u64) -> Result<ClusterInvitation> {
-        self.core.directory().invitation(id)
+        self.core.directory.invitation(id)
     }
 
     /// Where a group currently lives.
@@ -668,11 +670,12 @@ impl Gateway {
     ///
     /// Returns [`ClusterError::UnknownGroup`] for an unknown id.
     pub fn placement(&self, group: GlobalGroupId) -> Result<GroupPlacement> {
-        self.core.directory().placement(group)
+        self.core.directory.placement(group)
     }
 
-    /// Checks the cluster invariants; see
-    /// [`Cluster::check_invariants`](crate::Cluster::check_invariants).
+    /// Checks the floor-state invariants on every active shard, plus the
+    /// cluster-level ones: every directory entry points at an existing local
+    /// group, and every global member maps to distinct local ids per shard.
     ///
     /// # Errors
     ///
@@ -690,7 +693,7 @@ mod tests {
 
     #[test]
     fn cloned_gateways_receive_only_their_own_decisions() {
-        let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
+        let cluster = Cluster::new(ClusterConfig::with_shards(2));
         let g = cluster
             .create_group("lecture", FcmMode::FreeAccess)
             .unwrap();
@@ -714,7 +717,7 @@ mod tests {
 
     #[test]
     fn resubmit_replays_instead_of_double_applying() {
-        let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
+        let cluster = Cluster::new(ClusterConfig::with_shards(2));
         let g = cluster
             .create_group("lecture", FcmMode::EqualControl)
             .unwrap();
@@ -802,7 +805,7 @@ mod tests {
 
     #[test]
     fn batched_submit_answers_unroutable_requests_on_the_stream() {
-        let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
+        let cluster = Cluster::new(ClusterConfig::with_shards(2));
         let g = cluster
             .create_group("lecture", FcmMode::FreeAccess)
             .unwrap();
@@ -823,7 +826,7 @@ mod tests {
 
     #[test]
     fn session_decisions_stream_to_the_submitting_gateway() {
-        let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
+        let cluster = Cluster::new(ClusterConfig::with_shards(2));
         let g = cluster
             .create_group("lecture", FcmMode::FreeAccess)
             .unwrap();
@@ -859,7 +862,7 @@ mod tests {
 
     #[test]
     fn session_batch_delivers_in_submission_order() {
-        let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
+        let cluster = Cluster::new(ClusterConfig::with_shards(2));
         let g = cluster
             .create_group("lecture", FcmMode::FreeAccess)
             .unwrap();
@@ -951,7 +954,7 @@ mod tests {
     #[test]
     fn gateway_keeps_pipelines_alive_after_cluster_drop() {
         let gw = {
-            let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
+            let cluster = Cluster::new(ClusterConfig::with_shards(2));
             let g = cluster
                 .create_group("lecture", FcmMode::FreeAccess)
                 .unwrap();
@@ -960,7 +963,7 @@ mod tests {
             gw.join_group(g, m).unwrap();
             gw.submit(GlobalRequest::speak(g, m)).unwrap();
             gw
-            // `cluster` (and its façade gateway) drop here.
+            // `cluster` (and the gateway it lends) drop here.
         };
         let decision = gw.recv_decision().unwrap();
         assert!(decision.outcome.unwrap().is_granted());
@@ -969,7 +972,7 @@ mod tests {
 
     #[test]
     fn dropped_gateways_slot_is_recycled_without_leaking_decisions() {
-        let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
+        let cluster = Cluster::new(ClusterConfig::with_shards(2));
         let g = cluster
             .create_group("lecture", FcmMode::FreeAccess)
             .unwrap();

@@ -39,9 +39,9 @@
 //!   ingest handle (`Arc` of the shared core + its own registered reply
 //!   stream). Hand a clone to every front-end thread. The submit path does
 //!   no per-request heap allocation: request ids come from per-gateway
-//!   leased blocks ([`ClusterConfig::seq_lease`]) instead of a shared
-//!   atomic, and commands carry a small registry handle instead of a cloned
-//!   channel sender. [`Gateway::submit_batch`] /
+//!   leased blocks instead of a shared atomic, and commands carry a small
+//!   registry handle instead of a cloned channel sender.
+//!   [`Gateway::submit_batch`] /
 //!   [`Gateway::submit_session_batch`] / [`Gateway::submit_ops`] route a
 //!   whole batch with one id lease, one directory pass and one queue
 //!   reservation per shard.
@@ -80,10 +80,9 @@
 //!   and releases decisions only once a **quorum** of copies — counting the
 //!   leader's own durable append — holds the batch. The quorum write is
 //!   *pipelined*: the worker keeps draining and arbitrating the next batch
-//!   while the previous batch's acks are still in flight
-//!   ([`ClusterConfig::replica_pipeline`] bounds the window), so
-//!   replication costs one network round-trip of latency, not one per
-//!   batch of throughput. Failover promotes the most caught-up follower and
+//!   while the previous batch's acks are still in flight (a bounded
+//!   window), so replication costs one network round-trip of latency, not
+//!   one per batch of throughput. Failover promotes the most caught-up follower and
 //!   replays only the committed tail it is missing, instead of rebuilding
 //!   from snapshot-plus-full-log; and reads ([`Gateway::session_view`],
 //!   [`Gateway::queue_position`], [`Gateway::shard_view`]) scale out to
@@ -123,12 +122,14 @@
 //!   freeze guarantees at most one serving copy of a token at any instant —
 //!   the paper's one-holder invariant, preserved across shard moves.
 //!
-//! The single-caller [`Cluster`] façade keeps the pre-pipeline API
-//! (`submit`/`flush`/`request`, `&mut self`) so existing call sites migrate
-//! mechanically; `flush` just awaits the façade's outstanding decisions,
-//! because shards always work in parallel behind their queues.
+//! The surface is split by actor, as the paper splits participants from the
+//! operator of the floor-control server: a [`Gateway`] carries participant
+//! ops (groups, membership, invitations, submits, decision streams, bounded
+//! reads), the [`Cluster`] the operator's (lifetime, topology, faults,
+//! leader-side inspection, telemetry) — and it lends the gateway it owns
+//! through `Deref`, so a participant op called on it is that gateway's.
 //!
-//! ## Example: concurrent multi-gateway ingest
+//! ## Example: gateways carry traffic, the cluster administers
 //!
 //! ```
 //! use dmps_cluster::{Cluster, ClusterConfig, GlobalRequest};
@@ -149,12 +150,11 @@
 //! });
 //! worker.join().unwrap();
 //!
-//! // The façade path still works for single-threaded callers.
+//! // The cluster's own gateway, lent through `Deref`, streams the same way.
 //! cluster.submit(GlobalRequest::release_floor(group, teacher)).unwrap();
-//! let decisions = cluster.flush();
-//! assert!(decisions[0].outcome.as_ref().unwrap().is_granted());
+//! assert!(cluster.recv_decision().unwrap().outcome.unwrap().is_granted());
 //!
-//! // Crash the shard owning the group; the standby recovers it exactly.
+//! // Admin: crash the shard owning the group; the standby recovers it exactly.
 //! let shard = cluster.placement(group).unwrap().shard;
 //! cluster.crash_shard(shard);
 //! cluster.recover_shard(shard).unwrap();

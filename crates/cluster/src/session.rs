@@ -22,7 +22,7 @@
 //! use dmps_cluster::{Cluster, ClusterConfig, SessionOp};
 //! use dmps_floor::{FcmMode, Member, Role};
 //!
-//! let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
+//! let cluster = Cluster::new(ClusterConfig::with_shards(2));
 //! let g = cluster.create_group("lecture", FcmMode::FreeAccess).unwrap();
 //! let teacher = cluster.register_member(Member::new("teacher", Role::Chair));
 //! cluster.join_group(g, teacher).unwrap();

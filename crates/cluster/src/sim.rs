@@ -360,7 +360,7 @@ impl ClusterSim {
         // Resolve now to surface routing errors early; the serving host is
         // resolved again at send time so failovers redirect traffic.
         let _ = self.cluster.placement(op.group())?;
-        let seq = self.cluster.allocate_request_id();
+        let seq = self.cluster.core.directory.alloc_seq_block(1);
         self.net
             .schedule(self.gateway, at, ClusterMsg::Submit { seq, op })
             .expect("gateway timers are always schedulable");

@@ -33,11 +33,10 @@
 //! *next* batch — one quorum round-trip per batch, pipelined. A parked
 //! batch's replies release as soon as enough follower acks cover its end
 //! position, so decisions still never outrun durability (now quorum
-//! durability); the pipeline depth is bounded by
-//! [`ClusterConfig::replica_pipeline`](crate::ClusterConfig::replica_pipeline),
-//! and an idle worker settles every in-flight batch (retransmitting into
-//! lossy links as needed) before it blocks, so no decision is ever held
-//! hostage by an ack that got lost.
+//! durability); the pipeline depth is bounded (`REPLICA_PIPELINE` batches
+//! in flight), and an idle worker settles every in-flight batch
+//! (retransmitting into lossy links as needed) before it blocks, so no
+//! decision is ever held hostage by an ack that got lost.
 //!
 //! Two command shapes (plus a fault-injection twin of the second) cover
 //! everything:
@@ -75,15 +74,15 @@
 //! use dmps_cluster::{Cluster, ClusterConfig, GlobalRequest};
 //! use dmps_floor::{FcmMode, Member, Role};
 //!
-//! let mut cluster = Cluster::new(ClusterConfig::with_shards(2));
+//! let cluster = Cluster::new(ClusterConfig::with_shards(2));
 //! let g = cluster.create_group("lecture", FcmMode::EqualControl).unwrap();
 //! let m = cluster.register_member(Member::new("t", Role::Chair));
 //! cluster.join_group(g, m).unwrap();
 //! // `submit` enqueues onto the owning shard's bounded queue; the worker
-//! // batch-drains, group-commits, and streams the decisions back.
-//! cluster.submit(GlobalRequest::speak(g, m)).unwrap();
-//! let decisions = cluster.flush();
-//! assert!(decisions[0].outcome.as_ref().unwrap().is_granted());
+//! // batch-drains, group-commits, and streams the decision back.
+//! let gateway = cluster.gateway();
+//! gateway.submit(GlobalRequest::speak(g, m)).unwrap();
+//! assert!(gateway.recv_decision().unwrap().outcome.unwrap().is_granted());
 //! ```
 
 use std::collections::VecDeque;
@@ -92,11 +91,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use dmps_simnet::Link;
 use dmps_telemetry::{saturating_nanos, Stage, TraceSpan};
 
-use crate::cluster::Decision;
-use crate::instrument::{ReplicaMetrics, WorkerTelemetry};
+use crate::cluster::{ClusterConfig, Decision};
+use crate::instrument::{ClusterTelemetry, ReplicaMetrics, WorkerTelemetry};
 use crate::op::{LocalOp, Reply};
 use crate::poison::{read, write};
 use crate::queue::{bounded, OverloadPolicy, PushError, QueueReceiver, QueueSender, QueueStats};
@@ -225,6 +223,12 @@ pub(crate) enum ShardCommand {
 /// A boxed control-plane barrier closure (see [`ShardCommand::With`]).
 pub(crate) type BarrierFn = Box<dyn FnOnce(&mut Shard, &mut ReplicaSet) + Send>;
 
+/// Maximum group-committed batches a worker keeps in flight awaiting quorum
+/// acks before it stalls on the oldest — the quorum pipeline's depth: higher
+/// tolerates more ack latency before ingest stalls, at the cost of
+/// decision-release latency under loss.
+const REPLICA_PIPELINE: usize = 4;
+
 /// Handle to one shard's persistent worker thread and its bounded queue,
 /// plus the read-path ends of the shard's replica fleet.
 #[derive(Debug)]
@@ -240,32 +244,29 @@ pub(crate) struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Spawns the worker thread that owns `shard`, draining a bounded queue
-    /// of `queue_capacity` ingest commands in group-committed batches of up
-    /// to `ingest_batch`, replicated to `replicas` followers over
-    /// `replica_link` with at most `replica_pipeline` batches awaiting
-    /// quorum.
-    #[allow(clippy::too_many_arguments)]
+    /// Spawns the worker thread that owns `shard`: its queue bound, drain
+    /// batch and follower fleet come from `config`, its instruments from
+    /// `telemetry`; at most `REPLICA_PIPELINE` batches await quorum.
     pub(crate) fn spawn(
         shard: Shard,
+        config: &ClusterConfig,
+        telemetry: &ClusterTelemetry,
         registry: Arc<ReplyRegistry>,
-        queue_capacity: usize,
-        ingest_batch: usize,
-        telemetry: WorkerTelemetry,
-        replicas: usize,
-        replica_link: Link,
-        replica_pipeline: usize,
-        replica_metrics: ReplicaMetrics,
     ) -> Self {
-        let (sender, receiver) = bounded(queue_capacity);
-        let name = format!("dmps-shard-{}", shard.id().index());
-        let batch = ingest_batch.max(1);
-        let window = replica_pipeline.max(1);
-        let replica_set =
-            ReplicaSet::new(shard.id(), replicas, replica_link, replica_metrics.clone());
+        let index = shard.id().index();
+        let (sender, receiver) = bounded(config.queue_capacity);
+        let batch = config.ingest_batch.max(1);
+        let worker_telemetry = telemetry.worker(index);
+        let replica_metrics = telemetry.replica(index);
+        let replica_set = ReplicaSet::new(
+            shard.id(),
+            config.replicas,
+            config.replica_link,
+            replica_metrics.clone(),
+        );
         let followers = replica_set.followers().to_vec();
         let thread = std::thread::Builder::new()
-            .name(name)
+            .name(format!("dmps-shard-{index}"))
             .spawn(move || {
                 run(
                     shard,
@@ -273,8 +274,7 @@ impl ShardWorker {
                     receiver,
                     registry,
                     batch,
-                    window,
-                    telemetry,
+                    worker_telemetry,
                 )
             })
             .expect("spawn shard worker thread");
@@ -508,7 +508,6 @@ fn commit_and_flush(
     shard: &mut Shard,
     replicas: &mut ReplicaSet,
     inflight: &mut VecDeque<PendingBatch>,
-    window: usize,
     registry: &ReplyRegistry,
     open: &mut PendingBatch,
     telemetry: &WorkerTelemetry,
@@ -554,7 +553,7 @@ fn commit_and_flush(
     // batch's quorum (retransmitting if its acks were lost) before opening
     // another. A quorum that cannot be reached — fenced or partitioned —
     // fails the whole pipeline instead of blocking forever.
-    while inflight.len() > window {
+    while inflight.len() > REPLICA_PIPELINE {
         let mut batch = inflight.pop_front().expect("len checked");
         if replicas.force_quorum(shard, batch.end_seq) {
             release(registry, telemetry, &mut batch, replicas.epoch());
@@ -572,7 +571,6 @@ fn run(
     queue: QueueReceiver<ShardCommand>,
     registry: Arc<ReplyRegistry>,
     batch: usize,
-    window: usize,
     telemetry: WorkerTelemetry,
 ) {
     let mut commands: Vec<ShardCommand> = Vec::with_capacity(batch);
@@ -652,7 +650,6 @@ fn run(
                         &mut shard,
                         &mut replicas,
                         &mut inflight,
-                        window,
                         &registry,
                         &mut open,
                         &telemetry,
@@ -687,7 +684,6 @@ fn run(
             &mut shard,
             &mut replicas,
             &mut inflight,
-            window,
             &registry,
             &mut open,
             &telemetry,
@@ -711,6 +707,7 @@ mod tests {
     use crate::instrument::ClusterTelemetry;
     use crate::ring::ShardId;
     use crate::shard::GlobalGroupId;
+    use dmps_simnet::Link;
     use std::sync::mpsc::channel;
 
     #[test]
@@ -740,7 +737,6 @@ mod tests {
             &mut shard,
             &mut replicas,
             &mut VecDeque::new(),
-            4,
             &ReplyRegistry::default(),
             &mut open,
             &telemetry.worker(0),

@@ -16,7 +16,7 @@ fn traced_cluster(trace_sampling: u64) -> (Cluster, GlobalGroupId, GlobalMemberI
         trace_sampling,
         ..ClusterConfig::with_shards(2)
     };
-    let mut cluster = Cluster::new(config);
+    let cluster = Cluster::new(config);
     let group = cluster
         .create_group("lecture", FcmMode::FreeAccess)
         .unwrap();
@@ -97,7 +97,7 @@ fn disabled_sampling_records_no_spans() {
 
 #[test]
 fn metrics_report_names_every_pipeline_layer() {
-    let (mut cluster, group, member) = traced_cluster(0);
+    let (cluster, group, member) = traced_cluster(0);
     let gateway = cluster.gateway();
     let batch = [
         GlobalRequest::speak(group, member),
@@ -106,15 +106,14 @@ fn metrics_report_names_every_pipeline_layer() {
     let seqs = gateway.submit_batch(&batch);
     gateway.collect_decisions(seqs.len()).unwrap();
     // A replayed id is a dedup hit on the owning shard.
-    let seq = cluster.allocate_request_id();
-    let (_, replayed) = cluster
-        .request_with_id(seq, GlobalRequest::speak(group, member))
-        .unwrap();
-    assert!(!replayed);
-    let (_, replayed) = cluster
-        .request_with_id(seq, GlobalRequest::speak(group, member))
-        .unwrap();
-    assert!(replayed, "second submission under the same id replays");
+    let speak = GlobalRequest::speak(group, member);
+    let seq = cluster.submit(speak).unwrap();
+    assert!(!cluster.recv_decision().unwrap().replayed);
+    cluster.resubmit(seq, speak).unwrap();
+    assert!(
+        cluster.recv_decision().unwrap().replayed,
+        "second submission under the same id replays"
+    );
 
     let shard = cluster.placement(group).unwrap().shard.0;
     let metrics = cluster.metrics();
@@ -185,12 +184,12 @@ fn fault_counters_surface_in_the_stable_metrics_namespace() {
     let shard = cluster.placement(group).unwrap().shard;
 
     cluster.submit(GlobalRequest::speak(group, member)).unwrap();
-    cluster.flush();
+    cluster.collect_decisions(1).unwrap();
     cluster.isolate_shard_leader(shard);
     cluster
         .submit(GlobalRequest::release_floor(group, member))
         .unwrap();
-    cluster.flush();
+    cluster.collect_decisions(1).unwrap();
     cluster.heal_shard_partition(shard);
     cluster.recover_shard(shard).unwrap();
 
@@ -220,10 +219,10 @@ fn fault_counters_surface_in_the_stable_metrics_namespace() {
 
 #[test]
 fn reset_queue_peak_gives_windowed_peaks() {
-    let (mut cluster, group, member) = traced_cluster(0);
+    let (cluster, group, member) = traced_cluster(0);
     let shard = cluster.placement(group).unwrap().shard;
     cluster.submit(GlobalRequest::speak(group, member)).unwrap();
-    cluster.flush();
+    cluster.collect_decisions(1).unwrap();
     assert!(
         cluster.queue_stats(shard).peak_queued >= 1,
         "the submission must have been observed in the queue"
@@ -236,7 +235,7 @@ fn reset_queue_peak_gives_windowed_peaks() {
     cluster
         .submit(GlobalRequest::release_floor(group, member))
         .unwrap();
-    cluster.flush();
+    cluster.collect_decisions(1).unwrap();
     assert!(cluster.queue_stats(shard).peak_queued >= 1);
 }
 
@@ -244,7 +243,7 @@ fn reset_queue_peak_gives_windowed_peaks() {
 fn queue_peak_series_keeps_history_across_window_resets() {
     use dmps_cluster::telemetry::Metric;
 
-    let (mut cluster, group, member) = traced_cluster(0);
+    let (cluster, group, member) = traced_cluster(0);
     let shard = cluster.placement(group).unwrap().shard;
     for _ in 0..8 {
         cluster.submit(GlobalRequest::speak(group, member)).unwrap();
@@ -252,7 +251,7 @@ fn queue_peak_series_keeps_history_across_window_resets() {
             .submit(GlobalRequest::release_floor(group, member))
             .unwrap();
     }
-    cluster.flush();
+    cluster.collect_decisions(16).unwrap();
 
     let series = match cluster
         .metrics()
@@ -283,7 +282,7 @@ fn queue_peak_series_keeps_history_across_window_resets() {
             .submit(GlobalRequest::release_floor(group, member))
             .unwrap();
     }
-    cluster.flush();
+    cluster.collect_decisions(16).unwrap();
     assert!(cluster.queue_stats(shard).peak_queued >= 1);
     assert!(
         series.observations() > observed_before,

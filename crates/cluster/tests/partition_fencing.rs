@@ -13,7 +13,7 @@ use dmps_floor::{ArbitrationOutcome, FcmMode, Member, Role};
 /// group and three members (member 0 speaks first and holds the floor).
 fn replicated_cluster(replicas: usize) -> (Cluster, GlobalGroupId, Vec<GlobalMemberId>) {
     let config = ClusterConfig::with_shards(1).with_replicas(replicas);
-    let mut cluster = Cluster::new(config);
+    let cluster = Cluster::new(config);
     let group = cluster
         .create_group("lecture", FcmMode::EqualControl)
         .unwrap();
@@ -43,7 +43,7 @@ fn partition_failover_scenario() -> (Vec<String>, Vec<(u64, String, bool, u64)>,
     for &m in &roster {
         cluster.submit(GlobalRequest::speak(group, m)).unwrap();
     }
-    let healthy: Vec<_> = cluster.flush();
+    let healthy = cluster.collect_decisions(roster.len()).unwrap();
     assert_eq!(healthy.len(), 3);
     for d in &healthy {
         assert!(d.outcome.is_ok());
@@ -63,7 +63,7 @@ fn partition_failover_scenario() -> (Vec<String>, Vec<(u64, String, bool, u64)>,
             .submit(GlobalRequest::speak(group, roster[0]))
             .unwrap(),
     ];
-    let drained: Vec<_> = cluster.flush();
+    let drained = cluster.collect_decisions(stranded.len()).unwrap();
 
     // The stall budget burned out retransmitting into the void: the leader
     // failed its pipeline, answered the parked writes ShardDown, and
@@ -180,7 +180,7 @@ fn heal_without_demotion_keeps_the_original_leader() {
     cluster
         .submit(GlobalRequest::speak(group, roster[0]))
         .unwrap();
-    let decisions = cluster.flush();
+    let decisions = cluster.collect_decisions(1).unwrap();
     assert!(decisions.iter().all(|d| d.outcome.is_ok()));
 
     cluster.isolate_shard_leader(shard);
@@ -194,7 +194,7 @@ fn heal_without_demotion_keeps_the_original_leader() {
     cluster
         .submit(GlobalRequest::speak(group, roster[1]))
         .unwrap();
-    let after: Vec<_> = cluster.flush();
+    let after = cluster.collect_decisions(1).unwrap();
     assert_eq!(after.len(), 1);
     assert!(after[0].outcome.is_ok());
     assert_eq!(after[0].epoch, 1, "no failover, no epoch bump");
@@ -211,7 +211,7 @@ fn fenced_decisions_never_double_release() {
     for &m in &roster {
         cluster.submit(GlobalRequest::speak(group, m)).unwrap();
     }
-    let healthy = cluster.flush();
+    let healthy = cluster.collect_decisions(roster.len()).unwrap();
     let grants_before = healthy
         .iter()
         .filter(|d| matches!(d.outcome.as_deref(), Ok(ArbitrationOutcome::Granted { .. })))
@@ -222,7 +222,7 @@ fn fenced_decisions_never_double_release() {
     let seq = cluster
         .submit(GlobalRequest::release_floor(group, roster[0]))
         .unwrap();
-    let drained = cluster.flush();
+    let drained = cluster.collect_decisions(1).unwrap();
     assert!(drained
         .iter()
         .all(|d| matches!(d.outcome, Err(ClusterError::ShardDown(_)))));

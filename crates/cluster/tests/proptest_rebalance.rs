@@ -75,8 +75,12 @@ proptest! {
                 journaled.push((cluster.submit(speak).unwrap(), speak));
             }
         }
-        let originals: std::collections::BTreeMap<u64, _> =
-            cluster.flush().into_iter().map(|d| (d.seq, d)).collect();
+        let originals: std::collections::BTreeMap<u64, _> = cluster
+            .collect_decisions(journaled.len())
+            .unwrap()
+            .into_iter()
+            .map(|d| (d.seq, d))
+            .collect();
         cluster.check_invariants().unwrap();
         let granted_before = total_granted(&cluster);
 

@@ -47,7 +47,7 @@ fn build(replicas: usize, loss: f64) -> (Cluster, GlobalGroupId, Vec<GlobalMembe
         },
         ..ClusterConfig::with_shards(2)
     };
-    let mut cluster = Cluster::new(config);
+    let cluster = Cluster::new(config);
     let group = cluster
         .create_group("lecture", FcmMode::EqualControl)
         .unwrap();

@@ -17,7 +17,7 @@ fn replicated_cluster(
     config: ClusterConfig,
     members: usize,
 ) -> (Cluster, GlobalGroupId, Vec<GlobalMemberId>) {
-    let mut cluster = Cluster::new(config);
+    let cluster = Cluster::new(config);
     let group = cluster
         .create_group("lecture", FcmMode::EqualControl)
         .unwrap();
@@ -39,7 +39,7 @@ fn replicated_cluster(
 #[test]
 fn quorum_commit_releases_every_decision_with_a_bound() {
     let config = ClusterConfig::with_shards(2).with_replicas(3);
-    let (mut cluster, group, roster) = replicated_cluster(config, 3);
+    let (cluster, group, roster) = replicated_cluster(config, 3);
     let mut seqs = Vec::new();
     for round in 0..20 {
         for &m in &roster {
@@ -51,7 +51,7 @@ fn quorum_commit_releases_every_decision_with_a_bound() {
                 .unwrap(),
         );
     }
-    let decisions = cluster.flush();
+    let decisions = cluster.collect_decisions(seqs.len()).unwrap();
     assert_eq!(decisions.len(), seqs.len());
     // Every released decision carries its durability position: the batch it
     // group-committed (and quorum-replicated) under.
@@ -109,7 +109,7 @@ fn follower_reads_observe_own_writes() {
 #[test]
 fn queue_position_reads_match_arbitration_order() {
     let config = ClusterConfig::with_shards(1).with_replicas(3);
-    let (mut cluster, group, roster) = replicated_cluster(config, 4);
+    let (cluster, group, roster) = replicated_cluster(config, 4);
     // m0 takes the floor; m1..m3 queue behind it in submission order.
     for &m in &roster {
         let outcome = cluster.request(GlobalRequest::speak(group, m)).unwrap();
@@ -143,7 +143,7 @@ fn failover_promotes_follower_with_exactly_once_decisions() {
         let speak = GlobalRequest::speak(group, m);
         journaled.push((cluster.submit(speak).unwrap(), speak));
     }
-    let originals: Vec<_> = cluster.flush();
+    let originals = cluster.collect_decisions(journaled.len()).unwrap();
     for i in 0..5 {
         cluster
             .session(SessionOp::chat(group, roster[0], format!("line {i}")))
@@ -220,7 +220,7 @@ fn lossy_replica_links_still_commit_and_promote() {
                 .unwrap(),
         );
     }
-    let decisions = cluster.flush();
+    let decisions = cluster.collect_decisions(seqs.len()).unwrap();
     assert_eq!(decisions.len(), seqs.len(), "loss never loses a decision");
     assert!(decisions.iter().all(|d| d.commit > 0));
     cluster.check_invariants().unwrap();
@@ -271,7 +271,7 @@ fn replication_survives_snapshot_compaction_via_resync() {
             .submit(GlobalRequest::release_floor(group, roster[round % 3]))
             .unwrap();
     }
-    let decisions = cluster.flush();
+    let decisions = cluster.collect_decisions(40 * 4).unwrap();
     assert!(decisions.iter().all(|d| d.commit > 0));
     cluster.check_invariants().unwrap();
     // Crash + promote after heavy compaction still restores exact state.
@@ -320,7 +320,7 @@ fn follower_resync_from_a_partially_compacted_delta_chain() {
             ))
             .unwrap();
     }
-    let decisions = cluster.flush();
+    let decisions = cluster.collect_decisions(40 * 4).unwrap();
     assert!(decisions.iter().all(|d| d.commit > 0));
     cluster.check_invariants().unwrap();
     let metrics = cluster.metrics();
@@ -365,7 +365,8 @@ fn traffic_round(
     cluster
         .submit(GlobalRequest::release_floor(group, roster[round % 3]))
         .unwrap();
-    assert!(cluster.flush().iter().all(|d| d.commit > 0));
+    let decisions = cluster.collect_decisions(roster.len() + 1).unwrap();
+    assert!(decisions.iter().all(|d| d.commit > 0));
     // Whoever holds the floor now may chat (Equal Control gates the rest).
     let _ = cluster.session(SessionOp::chat(
         group,
@@ -523,7 +524,8 @@ fn writes_stranded_before_and_after_a_self_demotion_retry_alike() {
     for &m in &roster {
         cluster.submit(GlobalRequest::speak(group, m)).unwrap();
     }
-    assert!(cluster.flush().iter().all(|d| d.epoch == 1));
+    let healthy = cluster.collect_decisions(roster.len()).unwrap();
+    assert!(healthy.iter().all(|d| d.epoch == 1));
     let before = durable_state(&cluster, group);
 
     cluster.isolate_shard_leader(shard);
@@ -534,7 +536,7 @@ fn writes_stranded_before_and_after_a_self_demotion_retry_alike() {
     let mut stranded = Vec::new();
     for &request in &requests {
         let seq = cluster.submit(request).unwrap();
-        let failed = cluster.flush();
+        let failed = cluster.collect_decisions(1).unwrap();
         assert_eq!(failed.len(), 1);
         assert!(matches!(
             failed[0].outcome,

@@ -29,7 +29,7 @@ const MEMBERS: usize = GATEWAYS;
 const ROUNDS: usize = 40;
 
 fn build() -> (Cluster, Vec<GlobalGroupId>, Vec<Vec<GlobalMemberId>>) {
-    let mut cluster = Cluster::new(ClusterConfig {
+    let cluster = Cluster::new(ClusterConfig {
         shards: SHARDS,
         snapshot_every: 64,
         // Large enough to cover a full storm, so late retries always replay.

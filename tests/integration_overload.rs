@@ -33,7 +33,7 @@ fn build(
     queue_capacity: usize,
     overload: OverloadPolicy,
 ) -> (Cluster, Vec<GlobalGroupId>, Vec<Vec<GlobalMemberId>>) {
-    let mut cluster = Cluster::new(ClusterConfig {
+    let cluster = Cluster::new(ClusterConfig {
         queue_capacity,
         overload,
         snapshot_every: 64,
@@ -158,17 +158,29 @@ fn shed_storm_is_bounded_loud_and_exactly_once() {
                 chats_delivered.fetch_add(delivered.len() as u64, Ordering::Relaxed);
                 total_sheds.fetch_add(sheds, Ordering::Relaxed);
                 // Exactly-once across shed/retry races: a fresh resubmission
-                // of an applied id replays from the journal.
+                // of an applied id replays from the journal. (The other
+                // gateways may still be storming, so the resubmission itself
+                // can be shed; it is retried like any other.)
                 let (&seq, request) = floor.iter().next().unwrap();
-                gateway.resubmit(seq, *request).unwrap();
-                let replay = gateway.recv_decision().unwrap();
+                let replay = loop {
+                    gateway.resubmit(seq, *request).unwrap();
+                    let decision = gateway.recv_decision().unwrap();
+                    if !matches!(decision.outcome, Err(ClusterError::Overloaded(_))) {
+                        break decision;
+                    }
+                };
                 assert_eq!(replay.seq, seq);
                 assert!(replay.replayed, "applied id answered from the journal");
                 if let Some(&seq) = delivered.first() {
-                    gateway
-                        .resubmit_session(seq, session[&seq].clone())
-                        .unwrap();
-                    let replay = gateway.recv_session_decision().unwrap();
+                    let replay = loop {
+                        gateway
+                            .resubmit_session(seq, session[&seq].clone())
+                            .unwrap();
+                        let decision = gateway.recv_session_decision().unwrap();
+                        if !matches!(decision.outcome, Err(ClusterError::Overloaded(_))) {
+                            break decision;
+                        }
+                    };
                     assert_eq!(replay.seq, seq);
                     assert!(replay.replayed, "delivered chat answered from the journal");
                 }

@@ -39,7 +39,7 @@ fn busy_campus(
     Vec<Vec<GlobalMemberId>>,
     Vec<JournaledDecision>,
 ) {
-    let mut cluster = Cluster::new(ClusterConfig::with_shards(shards));
+    let cluster = Cluster::new(ClusterConfig::with_shards(shards));
     let mut gids = Vec::new();
     let mut rosters = Vec::new();
     for g in 0..groups {
@@ -73,8 +73,12 @@ fn busy_campus(
             .session(SessionOp::chat(*g, roster[0], "pre-handoff line"))
             .unwrap();
     }
-    let decisions: std::collections::BTreeMap<u64, Decision> =
-        cluster.flush().into_iter().map(|d| (d.seq, d)).collect();
+    let decisions: std::collections::BTreeMap<u64, Decision> = cluster
+        .collect_decisions(journaled.len())
+        .unwrap()
+        .into_iter()
+        .map(|d| (d.seq, d))
+        .collect();
     let journaled = journaled
         .into_iter()
         .map(|(seq, req)| (seq, req, decisions[&seq].clone()))
