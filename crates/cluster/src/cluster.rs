@@ -2396,6 +2396,15 @@ mod tests {
         });
         assert!(poisoner.join().is_err());
         assert!(cluster.core.parked.is_poisoned());
+        // Nor does dying with a directory stripe held: localizing the first
+        // speaker below reads exactly that stripe.
+        let (core, speaker) = (cluster.core.clone(), rosters[0][0]);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = core.directory.member_stripe(speaker).write().unwrap();
+            panic!("an admin thread dies holding a directory stripe");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(cluster.core.directory.member_stripe(speaker).is_poisoned());
         // Both routing paths still take the lock and still get decisions.
         let speak = GlobalRequest::speak(gids[0], rosters[0][0]);
         assert!(cluster.request(speak).unwrap().is_granted());
@@ -2403,6 +2412,62 @@ mod tests {
         let decisions = cluster.collect_decisions(1).unwrap();
         assert!(decisions[0].outcome.as_ref().unwrap().is_granted());
         cluster.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_delivered_payload_is_one_allocation_wherever_it_is_held() {
+        let mut cluster = Cluster::new(ClusterConfig::with_shards(2).with_replicas(2));
+        let g = cluster.create_group("g", FcmMode::FreeAccess).unwrap();
+        let teacher = cluster.register_member(Member::new("t", Role::Chair));
+        cluster.join_group(g, teacher).unwrap();
+        let shard = cluster.placement(g).unwrap().shard;
+        cluster
+            .core
+            .with_shard(shard, |s| s.take_snapshot().applied_seq());
+        let line = SessionOp::chat(g, teacher, "one allocation".to_string());
+        assert!(cluster.session(line).unwrap().is_delivered());
+        let first = |content: GroupSession| content.chat[0].1.clone();
+        // The leader's newest logged (sealed, shipped) event, its live
+        // store, and the next differential checkpoint's suffix.
+        let mut held = cluster.core.with_shard(shard, move |s| {
+            let crate::ShardEvent::Session(logged) =
+                s.log().events_from(s.log().base()).last().unwrap()
+            else {
+                panic!("the delivered line is the newest logged event");
+            };
+            let crate::SessionOpKind::Chat { text } = &logged.kind else {
+                panic!("a chat line was delivered");
+            };
+            let stored = first(s.session().view(g));
+            vec![
+                text.clone(),
+                stored,
+                first(s.take_delta().sessions[0].2.clone()),
+            ]
+        });
+        // Both followers' stores after catch-up, then two reads.
+        held.extend(cluster.core.with_worker(shard, |w| {
+            let stores = w.followers().iter().map(|f| {
+                let mut core = lock_core(f);
+                core.catch_up_for_read();
+                first(core.session_view(g))
+            });
+            stores.collect::<Vec<_>>()
+        }));
+        held.extend((0..2).map(|_| first(cluster.session_view(g).unwrap())));
+        // The handoff export, and what the destination serves after commit.
+        let target = ShardId((shard.0 + 1) % 2);
+        let ticket = cluster.handoff_prepare(g, Some(target)).unwrap();
+        held.push(first(ticket.content.clone()));
+        cluster.handoff_commit(ticket).unwrap();
+        held.push(first(cluster.session_view(g).unwrap()));
+        assert_eq!(held.len(), 9);
+        for (i, payload) in held.iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(payload, &held[0]),
+                "holder {i} copied the payload"
+            );
+        }
     }
 
     #[test]

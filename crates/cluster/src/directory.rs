@@ -49,6 +49,7 @@ use std::sync::RwLock;
 use dmps_floor::{InvitationStatus, Member, MemberId};
 
 use crate::error::{ClusterError, Result};
+use crate::poison::{read, write};
 use crate::ring::{mix64, HashRing, ShardId};
 use crate::shard::{GlobalGroupId, GlobalMemberId};
 
@@ -164,12 +165,12 @@ impl Directory {
 
     /// The shard the ring places a key on.
     pub fn shard_for(&self, key: u64) -> ShardId {
-        self.ring.read().expect("ring lock").shard_for(key)
+        read(&self.ring).shard_for(key)
     }
 
     /// Grows the ring by one shard and returns the new shard's id.
     pub(crate) fn grow_ring(&self) -> ShardId {
-        self.ring.write().expect("ring lock").add_shard()
+        write(&self.ring).add_shard()
     }
 
     // ----- groups -----------------------------------------------------------
@@ -184,9 +185,7 @@ impl Directory {
     ///
     /// Returns [`ClusterError::UnknownGroup`] for an unknown id.
     pub fn placement(&self, group: GlobalGroupId) -> Result<GroupPlacement> {
-        self.group_stripe(group)
-            .read()
-            .expect("group stripe")
+        read(self.group_stripe(group))
             .get(&group)
             .copied()
             .ok_or(ClusterError::UnknownGroup(group))
@@ -194,18 +193,12 @@ impl Directory {
 
     /// Records (or moves) a group's placement.
     pub(crate) fn place_group(&self, group: GlobalGroupId, placement: GroupPlacement) {
-        self.group_stripe(group)
-            .write()
-            .expect("group stripe")
-            .insert(group, placement);
+        write(self.group_stripe(group)).insert(group, placement);
     }
 
     /// Number of groups in the directory.
     pub fn group_count(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|s| s.read().expect("group stripe").len())
-            .sum()
+        self.groups.iter().map(|s| read(s).len()).sum()
     }
 
     /// Every group owned by a shard.
@@ -214,8 +207,7 @@ impl Directory {
             .groups
             .iter()
             .flat_map(|s| {
-                s.read()
-                    .expect("group stripe")
+                read(s)
                     .iter()
                     .filter(|(_, p)| p.shard == shard)
                     .map(|(&g, _)| g)
@@ -231,13 +223,7 @@ impl Directory {
         let mut out: Vec<(GlobalGroupId, GroupPlacement)> = self
             .groups
             .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("group stripe")
-                    .iter()
-                    .map(|(&g, &p)| (g, p))
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|s| read(s).iter().map(|(&g, &p)| (g, p)).collect::<Vec<_>>())
             .collect();
         out.sort_unstable_by_key(|&(g, _)| g);
         out
@@ -255,32 +241,22 @@ impl Directory {
     /// Registers a member, returning its new global id.
     pub(crate) fn register_member(&self, template: Member) -> GlobalMemberId {
         let id = GlobalMemberId(self.alloc_member());
-        self.member_stripe(id)
-            .write()
-            .expect("member stripe")
-            .insert(
-                id,
-                MemberRecord {
-                    template,
-                    locals: BTreeMap::new(),
-                },
-            );
+        let record = MemberRecord {
+            template,
+            locals: BTreeMap::new(),
+        };
+        write(self.member_stripe(id)).insert(id, record);
         id
     }
 
     /// Number of registered members.
     pub fn member_count(&self) -> usize {
-        self.members
-            .iter()
-            .map(|s| s.read().expect("member stripe").len())
-            .sum()
+        self.members.iter().map(|s| read(s).len()).sum()
     }
 
     /// The member's display name (from its template).
     pub(crate) fn member_name(&self, member: GlobalMemberId) -> Result<String> {
-        self.member_stripe(member)
-            .read()
-            .expect("member stripe")
+        read(self.member_stripe(member))
             .get(&member)
             .map(|r| r.template.name.clone())
             .ok_or(ClusterError::UnknownMember(member))
@@ -288,9 +264,7 @@ impl Directory {
 
     /// The member's dense id on a shard, if instantiated there.
     pub fn local_member(&self, member: GlobalMemberId, shard: ShardId) -> Result<MemberId> {
-        self.member_stripe(member)
-            .read()
-            .expect("member stripe")
+        read(self.member_stripe(member))
             .get(&member)
             .ok_or(ClusterError::UnknownMember(member))?
             .locals
@@ -305,8 +279,7 @@ impl Directory {
             .members
             .iter()
             .flat_map(|s| {
-                s.read()
-                    .expect("member stripe")
+                read(s)
                     .iter()
                     .map(|(&m, r)| (m, r.locals.iter().map(|(&s, &l)| (s, l)).collect()))
                     .collect::<Vec<_>>()
@@ -328,17 +301,12 @@ impl Directory {
 
     /// Records that `local` on `shard` is the instantiation of `member`.
     pub(crate) fn record_local(&self, shard: ShardId, local: MemberId, member: GlobalMemberId) {
-        self.locals_stripe(shard, local)
-            .write()
-            .expect("locals stripe")
-            .insert((shard, local), member);
+        write(self.locals_stripe(shard, local)).insert((shard, local), member);
     }
 
     /// The global member a shard-local id belongs to.
     pub fn global_of(&self, shard: ShardId, local: MemberId) -> Option<GlobalMemberId> {
-        self.locals_stripe(shard, local)
-            .read()
-            .expect("locals stripe")
+        read(self.locals_stripe(shard, local))
             .get(&(shard, local))
             .copied()
     }
@@ -351,16 +319,14 @@ impl Directory {
     ///
     /// Returns [`ClusterError::UnknownInvitation`] for an unknown id.
     pub fn invitation(&self, id: u64) -> Result<ClusterInvitation> {
-        self.invitations
-            .read()
-            .expect("invitations lock")
+        read(&self.invitations)
             .get(id as usize)
             .cloned()
             .ok_or(ClusterError::UnknownInvitation(id))
     }
 
     pub(crate) fn push_invitation(&self, invitation: ClusterInvitation) -> u64 {
-        let mut guard = self.invitations.write().expect("invitations lock");
+        let mut guard = write(&self.invitations);
         guard.push(invitation);
         guard.len() as u64 - 1
     }
@@ -369,7 +335,7 @@ impl Directory {
         &self,
         f: impl FnOnce(&mut Vec<ClusterInvitation>) -> R,
     ) -> R {
-        f(&mut self.invitations.write().expect("invitations lock"))
+        f(&mut write(&self.invitations))
     }
 }
 

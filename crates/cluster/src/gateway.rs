@@ -848,8 +848,8 @@ mod tests {
         assert!(a.try_recv_session_decision().is_none(), "b's not on a");
         assert!(b.try_recv_session_decision().is_none(), "a's not on b");
         let view = a.session_view(g).unwrap();
-        assert_eq!(view.chat, vec![(ma, "from a".to_string())]);
-        assert_eq!(view.whiteboard, vec![(mb, "from b".to_string())]);
+        assert_eq!(view.chat, vec![(ma, "from a".into())]);
+        assert_eq!(view.whiteboard, vec![(mb, "from b".into())]);
         // Retransmission replays from the session journal instead of
         // delivering the line twice.
         a.resubmit_session(sa, SessionOp::chat(g, ma, "from a"))
@@ -884,7 +884,7 @@ mod tests {
         assert!(chat
             .iter()
             .enumerate()
-            .all(|(i, (_, line))| line == &format!("line {i}")));
+            .all(|(i, (_, line))| **line == *format!("line {i}")));
         cluster.check_invariants().unwrap();
     }
 

@@ -199,8 +199,8 @@ pub use op::{Op, Reply};
 pub use queue::{OverloadPolicy, QueueStats};
 pub use ring::{HashRing, ShardId};
 pub use session::{
-    GroupSession, SessionDecision, SessionEvent, SessionOp, SessionOpKind, SessionOutcome,
-    SessionRejection, SessionStore,
+    GroupSession, LaneLens, SessionDecision, SessionEvent, SessionOp, SessionOpKind,
+    SessionOutcome, SessionRejection, SessionStore,
 };
 pub use shard::{
     CorruptionTarget, DedupWindow, EventLog, GlobalGroupId, GlobalMemberId, HandoffExport, Shard,

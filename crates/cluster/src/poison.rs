@@ -5,12 +5,15 @@
 //! gateway thread would turn into a process-wide outage at the next
 //! `expect`. The locks taken through these accessors (the parking lot, the
 //! worker table, the reply registry, a gateway's inbox / id lease /
-//! watermarks, a directory member stripe) all guard data whose every update
-//! is a single insert, remove, push or store: no panic can leave them
+//! watermarks, every directory stripe, the ring, the invitation list, a
+//! shard's command queue) all guard data whose every update is a single
+//! insert, remove, push, pop or counter store: no panic can leave them
 //! half-written, so recovering the guard is sound and the routing layer
 //! keeps serving.
 
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(PoisonError::into_inner)
@@ -22,4 +25,8 @@ pub(crate) fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub(crate) fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }

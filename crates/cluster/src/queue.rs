@@ -35,6 +35,8 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
+use crate::poison::{lock, wait};
+
 /// What a producer does when a shard's ingest queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverloadPolicy {
@@ -151,14 +153,14 @@ pub(crate) fn bounded<T>(capacity: usize) -> (QueueSender<T>, QueueReceiver<T>) 
 
 impl<T> Clone for QueueSender<T> {
     fn clone(&self) -> Self {
-        self.0.state.lock().expect("queue state").senders += 1;
+        lock(&self.0.state).senders += 1;
         QueueSender(self.0.clone())
     }
 }
 
 impl<T> Drop for QueueSender<T> {
     fn drop(&mut self) {
-        let mut state = self.0.state.lock().expect("queue state");
+        let mut state = lock(&self.0.state);
         state.senders -= 1;
         if state.senders == 0 {
             let wake = state.receiver_waiting;
@@ -173,7 +175,7 @@ impl<T> Drop for QueueSender<T> {
 
 impl<T> Drop for QueueReceiver<T> {
     fn drop(&mut self) {
-        let mut state = self.0.state.lock().expect("queue state");
+        let mut state = lock(&self.0.state);
         state.receiver_alive = false;
         let wake = state.senders_waiting > 0;
         drop(state);
@@ -187,7 +189,7 @@ impl<T> Drop for QueueReceiver<T> {
 impl<T> QueueSender<T> {
     /// Enqueues one ingest command under the given overload policy.
     pub(crate) fn push(&self, value: T, policy: OverloadPolicy) -> Result<(), PushError<T>> {
-        let mut state = self.0.state.lock().expect("queue state");
+        let mut state = lock(&self.0.state);
         while state.bounded >= self.0.capacity {
             if !state.receiver_alive {
                 return Err(PushError::Disconnected(value));
@@ -198,7 +200,7 @@ impl<T> QueueSender<T> {
                     // The queue is full, so the receiver cannot be parked on
                     // `not_empty`; no wake is needed before waiting.
                     state.senders_waiting += 1;
-                    state = self.0.not_full.wait(state).expect("queue state");
+                    state = wait(&self.0.not_full, state);
                     state.senders_waiting -= 1;
                 }
             }
@@ -230,7 +232,7 @@ impl<T> QueueSender<T> {
         policy: OverloadPolicy,
     ) -> Vec<PushError<T>> {
         let mut rejected = Vec::new();
-        let mut state = self.0.state.lock().expect("queue state");
+        let mut state = lock(&self.0.state);
         let mut pushed = false;
         for value in values {
             loop {
@@ -258,7 +260,7 @@ impl<T> QueueSender<T> {
                             self.0.not_empty.notify_one();
                         }
                         state.senders_waiting += 1;
-                        state = self.0.not_full.wait(state).expect("queue state");
+                        state = wait(&self.0.not_full, state);
                         state.senders_waiting -= 1;
                     }
                 }
@@ -278,7 +280,7 @@ impl<T> QueueSender<T> {
     /// a data-plane storm (and a coordinator pushing while holding routing
     /// locks cannot deadlock against [`OverloadPolicy::Block`]).
     pub(crate) fn push_control(&self, value: T) -> Result<(), PushError<T>> {
-        let mut state = self.0.state.lock().expect("queue state");
+        let mut state = lock(&self.0.state);
         if !state.receiver_alive {
             return Err(PushError::Disconnected(value));
         }
@@ -293,7 +295,7 @@ impl<T> QueueSender<T> {
 
     /// Occupancy statistics.
     pub(crate) fn stats(&self) -> QueueStats {
-        let state = self.0.state.lock().expect("queue state");
+        let state = lock(&self.0.state);
         QueueStats {
             capacity: self.0.capacity,
             queued: state.bounded,
@@ -305,7 +307,7 @@ impl<T> QueueSender<T> {
     /// occupancy (not zero — entries that are still queued were necessarily
     /// observed), and grows from there.
     pub(crate) fn reset_peak(&self) {
-        let mut state = self.0.state.lock().expect("queue state");
+        let mut state = lock(&self.0.state);
         state.peak = state.bounded;
     }
 }
@@ -314,7 +316,7 @@ impl<T> QueueReceiver<T> {
     /// Blocks until a command is available; `None` once the queue is empty
     /// and every sender is gone.
     pub(crate) fn recv(&self) -> Option<T> {
-        let mut state = self.0.state.lock().expect("queue state");
+        let mut state = lock(&self.0.state);
         loop {
             if let Some((value, counted)) = state.buf.pop_front() {
                 if counted {
@@ -331,7 +333,7 @@ impl<T> QueueReceiver<T> {
                 return None;
             }
             state.receiver_waiting = true;
-            state = self.0.not_empty.wait(state).expect("queue state");
+            state = wait(&self.0.not_empty, state);
             state.receiver_waiting = false;
         }
     }
@@ -339,14 +341,14 @@ impl<T> QueueReceiver<T> {
     /// Ingest commands queued right now — the worker samples this into its
     /// queue-depth time-series on every drain.
     pub(crate) fn depth(&self) -> usize {
-        self.0.state.lock().expect("queue state").bounded
+        lock(&self.0.state).bounded
     }
 
     /// Occupancy statistics, from the consumer side: the worker drain loop
     /// samples `peak_queued` into its `queue_peak` time-series without
     /// needing a sender handle.
     pub(crate) fn stats(&self) -> QueueStats {
-        let state = self.0.state.lock().expect("queue state");
+        let state = lock(&self.0.state);
         QueueStats {
             capacity: self.0.capacity,
             queued: state.bounded,
@@ -361,7 +363,7 @@ impl<T> QueueReceiver<T> {
         if max == 0 {
             return 0;
         }
-        let mut state = self.0.state.lock().expect("queue state");
+        let mut state = lock(&self.0.state);
         let mut taken = 0;
         while taken < max {
             let Some((value, counted)) = state.buf.pop_front() else {

@@ -379,14 +379,12 @@ impl FollowerCore {
             if delta.applied_seq() <= self.applied {
                 continue;
             }
-            self.arbiter.apply_delta(&delta.arbiter)?;
-            for (group, content) in &delta.sessions {
-                self.session.replace(*group, content.clone());
-            }
-            for group in &delta.purged {
-                self.session.remove(*group);
-            }
-            self.frozen = delta.frozen.iter().copied().collect();
+            delta
+                .fold(&mut self.arbiter, &mut self.session, &mut self.frozen)
+                .map_err(|what| ClusterError::Corrupt {
+                    shard: self.shard,
+                    what,
+                })?;
             self.applied = delta.applied_seq();
         }
         Ok(())
@@ -1124,6 +1122,40 @@ mod tests {
             core.catch_up_for_read();
             assert_eq!(core.applied(), shard.log().next_seq());
         }
+    }
+
+    #[test]
+    fn resync_suffix_past_the_follower_resets_and_quarantines_it() {
+        let (mut shard, mut set, _telemetry) = fixture(1);
+        commit_some(&mut shard, 8);
+        set.replicate(&shard);
+        assert!(set.drive_quorum(&shard, shard.log().next_seq()));
+        // The follower holds the roster and no content. The leader delivers
+        // a line, cuts a base, delivers another and cuts a delta — whose
+        // window the follower is wholly behind.
+        let chat = |shard: &mut Shard| {
+            let event = crate::session::SessionEvent {
+                group: GlobalGroupId(0),
+                local_group: GroupId(0),
+                from: crate::GlobalMemberId(0),
+                local_from: MemberId(0),
+                kind: crate::SessionOpKind::Chat {
+                    text: "line".into(),
+                },
+            };
+            assert!(shard.apply_session(event).unwrap().is_delivered());
+        };
+        chat(&mut shard);
+        shard.take_snapshot();
+        chat(&mut shard);
+        let delta = shard.take_delta().clone();
+        let mut core = lock_core(&set.followers()[0]);
+        let err = core
+            .install_resync(set.epoch(), None, &[delta])
+            .unwrap_err();
+        assert!(matches!(err, ClusterError::Corrupt { .. }), "got {err:?}");
+        assert_eq!((core.applied(), core.durable()), (0, 0), "full re-seed");
+        assert!(core.take_repair());
     }
 
     #[test]

@@ -18,6 +18,16 @@
 //! delivered ops are journaled per request id in the shard's session dedup
 //! window, so a retransmitted chat line cannot appear twice.
 //!
+//! Delivered content is **immutable and shared**: a payload is one
+//! `Arc<str>` allocated at submit, and the logged event, the live store, the
+//! sealed segment, every follower's store, [`SessionStore::view`] results,
+//! handoff exports and differential checkpoints (which carry only what a
+//! window appended — see [`GroupSession::splice`]) all hold reference
+//! counts on it. Only a wire decode (base restore, a segment read
+//! back from bytes) allocates afresh. The byte accounting
+//! ([`GroupSession::size_bytes`]) keeps counting logical durable bytes per
+//! artifact — it does not deduplicate what the process happens to share.
+//!
 //! ```
 //! use dmps_cluster::{Cluster, ClusterConfig, SessionOp};
 //! use dmps_floor::{FcmMode, Member, Role};
@@ -32,10 +42,14 @@
 //!     .unwrap();
 //! assert!(outcome.is_delivered());
 //! let view = cluster.session_view(g).unwrap();
-//! assert_eq!(view.chat[0], (teacher, "welcome everyone".to_string()));
+//! assert_eq!(view.chat[0], (teacher, "welcome everyone".into()));
+//! // A second read shares the delivered line instead of copying it.
+//! let again = cluster.session_view(g).unwrap();
+//! assert!(std::sync::Arc::ptr_eq(&view.chat[0].1, &again.chat[0].1));
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dmps_floor::{GroupId, MemberId};
 use dmps_simnet::SimTime;
@@ -44,31 +58,32 @@ use dmps_wire::Wire;
 use crate::shard::{GlobalGroupId, GlobalMemberId};
 
 /// The payload of one session operation, shared between the cluster-wide
-/// [`SessionOp`] and the shard-local [`SessionEvent`].
+/// [`SessionOp`] and the shard-local [`SessionEvent`]. The string is one
+/// immutable allocation from submit on; every later holder clones the `Arc`.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SessionOpKind {
     /// A message-window line.
     Chat {
         /// The text.
-        text: String,
+        text: Arc<str>,
     },
     /// A whiteboard stroke batch.
     Whiteboard {
         /// Encoded stroke data.
-        stroke: String,
+        stroke: Arc<str>,
     },
     /// A teacher annotation (Figure 3a).
     Annotation {
         /// The annotation text.
-        text: String,
+        text: Arc<str>,
     },
     /// Schedule a synchronized media start: every member of the group starts
     /// the object at the same global time (the DOCPN schedule broadcast,
     /// sharded).
     ScheduleMedia {
         /// Name of the media object.
-        media: String,
+        media: Arc<str>,
         /// The global time at which every client starts it.
         start: SimTime,
     },
@@ -114,7 +129,7 @@ pub struct SessionOp {
 
 impl SessionOp {
     /// A chat line in `group`.
-    pub fn chat(group: GlobalGroupId, from: GlobalMemberId, text: impl Into<String>) -> Self {
+    pub fn chat(group: GlobalGroupId, from: GlobalMemberId, text: impl Into<Arc<str>>) -> Self {
         SessionOp {
             group,
             from,
@@ -126,7 +141,7 @@ impl SessionOp {
     pub fn whiteboard(
         group: GlobalGroupId,
         from: GlobalMemberId,
-        stroke: impl Into<String>,
+        stroke: impl Into<Arc<str>>,
     ) -> Self {
         SessionOp {
             group,
@@ -138,7 +153,11 @@ impl SessionOp {
     }
 
     /// A teacher annotation in `group`.
-    pub fn annotation(group: GlobalGroupId, from: GlobalMemberId, text: impl Into<String>) -> Self {
+    pub fn annotation(
+        group: GlobalGroupId,
+        from: GlobalMemberId,
+        text: impl Into<Arc<str>>,
+    ) -> Self {
         SessionOp {
             group,
             from,
@@ -150,7 +169,7 @@ impl SessionOp {
     pub fn schedule_media(
         group: GlobalGroupId,
         from: GlobalMemberId,
-        media: impl Into<String>,
+        media: impl Into<Arc<str>>,
         start: SimTime,
     ) -> Self {
         SessionOp {
@@ -246,21 +265,44 @@ impl SessionOutcome {
 /// around a [`SessionOutcome`].
 pub type SessionDecision = crate::cluster::Decision<SessionOutcome>;
 
+/// Logical durable bytes of one recorded entry besides its payload: the
+/// attribution (or start time) plus the string header a stored copy carries.
+/// A constant rather than a `size_of`: the accounting counts what content
+/// costs per artifact, not this process's `Arc` representation.
+const ENTRY_BYTES: usize = 32;
+
+/// Lane lengths of a [`GroupSession`], in field order: chat, whiteboard,
+/// annotations, media.
+pub type LaneLens = (u64, u64, u64, u64);
+
 /// The session state of one group: the server-side logs a `DmpsServer` keeps
-/// for its single session, sharded.
+/// for its single session, sharded. Four append-only lanes of immutable
+/// entries — cloning a `GroupSession` copies four vectors of reference
+/// counts, never a payload.
 ///
 /// Content is attributed by **global** member id so the log survives a group
 /// migration to a shard with different dense ids.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroupSession {
     /// Message-window lines, in delivery order.
-    pub chat: Vec<(GlobalMemberId, String)>,
+    pub chat: Vec<(GlobalMemberId, Arc<str>)>,
     /// Whiteboard strokes, in delivery order.
-    pub whiteboard: Vec<(GlobalMemberId, String)>,
+    pub whiteboard: Vec<(GlobalMemberId, Arc<str>)>,
     /// Teacher annotations, in delivery order.
-    pub annotations: Vec<(GlobalMemberId, String)>,
+    pub annotations: Vec<(GlobalMemberId, Arc<str>)>,
     /// Scheduled synchronized media starts, as `(media, global start time)`.
-    pub media: Vec<(String, SimTime)>,
+    pub media: Vec<(Arc<str>, SimTime)>,
+}
+
+/// Truncates `lane` to the untrusted length `from`, then appends `tail`;
+/// `false` (lane untouched) when `from` lies past the lane's end.
+fn splice<T: Clone>(lane: &mut Vec<T>, from: u64, tail: &[T]) -> bool {
+    let Some(from) = usize::try_from(from).ok().filter(|&n| n <= lane.len()) else {
+        return false;
+    };
+    lane.truncate(from);
+    lane.extend_from_slice(tail);
+    true
 }
 
 impl GroupSession {
@@ -272,30 +314,55 @@ impl GroupSession {
             && self.media.is_empty()
     }
 
-    fn merge(&mut self, other: GroupSession) {
-        self.chat.extend(other.chat);
-        self.whiteboard.extend(other.whiteboard);
-        self.annotations.extend(other.annotations);
-        self.media.extend(other.media);
+    /// The current length of every lane — the cut a checkpoint window
+    /// remembers at a group's first touch.
+    pub fn lens(&self) -> LaneLens {
+        (
+            self.chat.len() as u64,
+            self.whiteboard.len() as u64,
+            self.annotations.len() as u64,
+            self.media.len() as u64,
+        )
+    }
+
+    /// The entries appended past `from` (lane lengths this value reported
+    /// earlier — lanes only grow), sharing their payloads: a differential
+    /// checkpoint's entry for the group.
+    pub(crate) fn suffix(&self, from: LaneLens) -> GroupSession {
+        GroupSession {
+            chat: self.chat[from.0 as usize..].to_vec(),
+            whiteboard: self.whiteboard[from.1 as usize..].to_vec(),
+            annotations: self.annotations[from.2 as usize..].to_vec(),
+            media: self.media[from.3 as usize..].to_vec(),
+        }
+    }
+
+    /// Folds a checkpoint suffix: truncate every lane to `from`, then extend
+    /// by `tail`. Because lanes are append-only this lands on the exact
+    /// content at the suffix's cut from any position past `from`. `false`
+    /// when `from` (untrusted) exceeds a lane — the restorer sits before the
+    /// suffix's window, or `from` is corrupt; lanes before the failing one
+    /// stay folded, so the caller discards the value.
+    #[must_use]
+    pub fn splice(&mut self, from: LaneLens, tail: &GroupSession) -> bool {
+        splice(&mut self.chat, from.0, &tail.chat)
+            && splice(&mut self.whiteboard, from.1, &tail.whiteboard)
+            && splice(&mut self.annotations, from.2, &tail.annotations)
+            && splice(&mut self.media, from.3, &tail.media)
     }
 
     /// Approximate in-memory footprint of the recorded content in bytes
     /// (entry overheads plus string payloads) — the per-group unit of the
     /// shard's session byte accounting.
     pub fn size_bytes(&self) -> u64 {
-        let attributed = |v: &[(GlobalMemberId, String)]| -> u64 {
-            v.iter()
-                .map(|(_, s)| (std::mem::size_of::<(GlobalMemberId, String)>() + s.len()) as u64)
-                .sum()
+        let lane = |v: &[(GlobalMemberId, Arc<str>)]| -> u64 {
+            v.iter().map(|(_, s)| (ENTRY_BYTES + s.len()) as u64).sum()
         };
-        attributed(&self.chat)
-            + attributed(&self.whiteboard)
-            + attributed(&self.annotations)
-            + self
-                .media
-                .iter()
-                .map(|(m, _)| (std::mem::size_of::<(String, SimTime)>() + m.len()) as u64)
-                .sum::<u64>()
+        let media = self
+            .media
+            .iter()
+            .map(|(m, _)| (ENTRY_BYTES + m.len()) as u64);
+        lane(&self.chat) + lane(&self.whiteboard) + lane(&self.annotations) + media.sum::<u64>()
     }
 }
 
@@ -326,16 +393,16 @@ impl Wire for SessionOpKind {
         let tag = u8::decode(r)?;
         Ok(match tag {
             0 => SessionOpKind::Chat {
-                text: String::decode(r)?,
+                text: Arc::decode(r)?,
             },
             1 => SessionOpKind::Whiteboard {
-                stroke: String::decode(r)?,
+                stroke: Arc::decode(r)?,
             },
             2 => SessionOpKind::Annotation {
-                text: String::decode(r)?,
+                text: Arc::decode(r)?,
             },
             3 => SessionOpKind::ScheduleMedia {
-                media: String::decode(r)?,
+                media: Arc::decode(r)?,
                 start: SimTime::decode(r)?,
             },
             other => {
@@ -423,7 +490,7 @@ impl SessionStore {
     /// session state. Deterministic: replaying the same events in the same
     /// order reconstructs the same store.
     pub fn apply(&mut self, event: &SessionEvent) {
-        let group = self.groups.entry(event.group).or_default();
+        let group = self.entry(event.group);
         match &event.kind {
             SessionOpKind::Chat { text } => group.chat.push((event.from, text.clone())),
             SessionOpKind::Whiteboard { stroke } => {
@@ -440,7 +507,7 @@ impl SessionStore {
 
     /// The recorded session state of a group (empty if nothing was recorded).
     pub fn view(&self, group: GlobalGroupId) -> GroupSession {
-        self.groups.get(&group).cloned().unwrap_or_default()
+        self.get(group).cloned().unwrap_or_default()
     }
 
     /// Removes and returns a group's session state (migration: the content
@@ -449,23 +516,26 @@ impl SessionStore {
         self.groups.remove(&group)
     }
 
-    /// Installs session state extracted from another shard's store.
+    /// Installs session state extracted from another shard's store, on top
+    /// of whatever is present (lanes only ever grow).
     pub fn install(&mut self, group: GlobalGroupId, content: GroupSession) {
-        self.groups.entry(group).or_default().merge(content);
+        let lanes = self.entry(group);
+        lanes.chat.extend(content.chat);
+        lanes.whiteboard.extend(content.whiteboard);
+        lanes.annotations.extend(content.annotations);
+        lanes.media.extend(content.media);
     }
 
-    /// Whether the store holds an entry for `group` (distinct from the entry
-    /// being empty — snapshot deltas must reproduce the map exactly).
-    pub fn contains(&self, group: GlobalGroupId) -> bool {
-        self.groups.contains_key(&group)
+    /// The recorded state of a group, if the store holds an entry for it
+    /// (distinct from the entry being empty).
+    pub fn get(&self, group: GlobalGroupId) -> Option<&GroupSession> {
+        self.groups.get(&group)
     }
 
-    /// Replaces a group's session state outright — the snapshot-delta fold
-    /// path, where the delta carries the group's *complete* content at delta
-    /// time (unlike [`SessionStore::install`], which merges a migrated slice
-    /// on top of whatever is present).
-    pub fn replace(&mut self, group: GlobalGroupId, content: GroupSession) {
-        self.groups.insert(group, content);
+    /// The group's entry, created empty if absent — where a checkpoint
+    /// suffix is folded ([`GroupSession::splice`]).
+    pub(crate) fn entry(&mut self, group: GlobalGroupId) -> &mut GroupSession {
+        self.groups.entry(group).or_default()
     }
 }
 
@@ -510,13 +580,10 @@ mod tests {
             start: SimTime::from_secs(5),
         }));
         let view = store.view(GlobalGroupId(7));
-        assert_eq!(view.chat, vec![(GlobalMemberId(3), "hi".to_string())]);
+        assert_eq!(view.chat, vec![(GlobalMemberId(3), "hi".into())]);
         assert_eq!(view.whiteboard.len(), 1);
         assert_eq!(view.annotations.len(), 1);
-        assert_eq!(
-            view.media,
-            vec![("intro".to_string(), SimTime::from_secs(5))]
-        );
+        assert_eq!(view.media, vec![("intro".into(), SimTime::from_secs(5))]);
         assert!(store.view(GlobalGroupId(99)).is_empty());
         assert_eq!(store.group_count(), 1);
     }
@@ -526,7 +593,7 @@ mod tests {
         let mut store = SessionStore::new();
         for i in 0..3 {
             store.apply(&event(SessionOpKind::Chat {
-                text: format!("line {i}"),
+                text: format!("line {i}").into(),
             }));
         }
         store.apply(&event(SessionOpKind::ScheduleMedia {

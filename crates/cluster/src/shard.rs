@@ -72,7 +72,9 @@ use dmps_wire::Wire;
 
 use crate::error::{ClusterError, Result};
 use crate::ring::ShardId;
-use crate::session::{GroupSession, SessionEvent, SessionOutcome, SessionRejection, SessionStore};
+use crate::session::{
+    GroupSession, LaneLens, SessionEvent, SessionOutcome, SessionRejection, SessionStore,
+};
 
 /// Cluster-wide identifier of a group (stable across shard moves, unlike the
 /// dense per-arbiter [`dmps_floor::GroupId`]).
@@ -714,18 +716,22 @@ impl Wire for ShardSnapshot {
 /// folds the base, then each delta in chain order, then replays the log tail
 /// — see [`Shard::recover`].
 ///
-/// The delta's window is `(base_seq, applied_seq]`. Because each entry
-/// carries its *complete* value at delta time (and the tiny globals ship
-/// wholesale), the delta folds correctly onto a restorer positioned anywhere
-/// inside the window — the property follower resync relies on when its ack
-/// knowledge lags the leader's chain.
+/// The delta's window is `(base_seq, applied_seq]`, and it folds correctly
+/// onto a restorer positioned anywhere inside that window — the property
+/// follower resync relies on when its ack knowledge lags the leader's chain.
+/// Arbiter entries and the tiny globals carry their complete value at delta
+/// time; session content, being append-only, carries only what the window
+/// appended ([`GroupSession::splice`]: truncate to the window's start, then
+/// extend), so a delta costs O(appended), not O(history of every dirty
+/// group). A restorer holding less than the window's start is refused.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotDelta {
     /// The floor-control half: dirty arbiter entries plus globals.
     pub arbiter: ArbiterDelta,
-    /// Complete session content of every group whose session log changed in
-    /// the window.
-    pub sessions: Vec<(GlobalGroupId, GroupSession)>,
+    /// Per group whose session log changed in the window: `(group, from,
+    /// appended)` — its lane lengths at `base_seq` (0 when it was purged and
+    /// re-installed inside the window) and the entries appended since.
+    pub sessions: Vec<(GlobalGroupId, LaneLens, GroupSession)>,
     /// Tombstones: groups whose session content was purged (migrated away)
     /// in the window.
     pub purged: Vec<GlobalGroupId>,
@@ -751,9 +757,38 @@ impl SnapshotDelta {
             + self
                 .sessions
                 .iter()
-                .map(|(_, s)| s.size_bytes() as usize)
+                .map(|(_, from, tail)| std::mem::size_of_val(from) + tail.size_bytes() as usize)
                 .sum::<usize>()
             + (self.purged.len() + self.frozen.len()) * std::mem::size_of::<GlobalGroupId>()
+    }
+
+    /// Folds the delta onto a restorer's state — the one fold both
+    /// [`Shard::recover`] and follower resync run.
+    ///
+    /// # Errors
+    ///
+    /// Says what did not fold: an arbiter entry that does not apply, or a
+    /// session suffix the restorer cannot place. The state is then partly
+    /// folded and must be discarded.
+    pub fn fold(
+        &self,
+        arbiter: &mut FloorArbiter,
+        session: &mut SessionStore,
+        frozen: &mut BTreeSet<GlobalGroupId>,
+    ) -> std::result::Result<(), String> {
+        arbiter
+            .apply_delta(&self.arbiter)
+            .map_err(|e| e.to_string())?;
+        for (group, from, tail) in &self.sessions {
+            if !session.entry(*group).splice(*from, tail) {
+                return Err(format!("session suffix of {group} starts past {from:?}"));
+            }
+        }
+        for group in &self.purged {
+            session.remove(*group);
+        }
+        *frozen = self.frozen.iter().copied().collect();
+        Ok(())
     }
 }
 
@@ -769,7 +804,7 @@ impl Wire for SnapshotDelta {
     fn decode(r: &mut dmps_wire::Reader<'_>) -> dmps_wire::Result<Self> {
         Ok(SnapshotDelta {
             arbiter: ArbiterDelta::decode(r)?,
-            sessions: Vec::<(GlobalGroupId, GroupSession)>::decode(r)?,
+            sessions: Vec::<(GlobalGroupId, LaneLens, GroupSession)>::decode(r)?,
             purged: Vec::<GlobalGroupId>::decode(r)?,
             frozen: Vec::<GlobalGroupId>::decode(r)?,
             base_seq: u64::decode(r)?,
@@ -844,8 +879,9 @@ pub struct Shard {
     bytes_since_checkpoint: u64,
     /// Arbiter ids dirtied since the last checkpoint.
     dirty_floor: ArbiterDirty,
-    /// Groups whose session content changed since the last checkpoint.
-    dirty_sessions: BTreeSet<GlobalGroupId>,
+    /// Groups whose session content changed since the last checkpoint, each
+    /// with its lane lengths at first touch — i.e. at that checkpoint.
+    dirty_sessions: BTreeMap<GlobalGroupId, LaneLens>,
     /// Groups whose session content was purged since the last checkpoint
     /// (delta tombstones).
     purged_sessions: BTreeSet<GlobalGroupId>,
@@ -913,7 +949,7 @@ impl Shard {
             snapshot_chain: 0,
             bytes_since_checkpoint: 0,
             dirty_floor: ArbiterDirty::default(),
-            dirty_sessions: BTreeSet::new(),
+            dirty_sessions: BTreeMap::new(),
             purged_sessions: BTreeSet::new(),
             need_full: false,
             dedup: DedupWindow::new(dedup_window),
@@ -1107,7 +1143,6 @@ impl Shard {
     /// ([`Shard::begin_batch`]) the append is deferred so the whole batch
     /// pays for one log append and one cadence check.
     fn commit(&mut self, event: ShardEvent) {
-        self.note_dirty(&event);
         self.bytes_since_checkpoint += event.approx_bytes();
         if self.batching {
             self.pending.push(event);
@@ -1154,25 +1189,20 @@ impl Shard {
         }
     }
 
-    /// Records which state an event touched, so the next differential
-    /// checkpoint ships exactly the groups/sessions mutated since the last
-    /// one. Floor events are marked in [`Shard::apply`] (the arbiter knows
-    /// the touched ids); this covers the session-side events.
-    fn note_dirty(&mut self, event: &ShardEvent) {
-        match event {
-            ShardEvent::Session(e) => {
-                self.dirty_sessions.insert(e.group);
-            }
-            ShardEvent::SessionPurge(group) => {
-                self.dirty_sessions.remove(group);
-                self.purged_sessions.insert(*group);
-            }
-            ShardEvent::SessionInstall { group, .. } => {
-                self.dirty_sessions.insert(*group);
-                self.purged_sessions.remove(group);
-            }
-            _ => {}
-        }
+    /// Marks a group's session content dirty *before* it grows: the first
+    /// touch in a checkpoint window remembers the lane lengths the previous
+    /// checkpoint covered, so the next delta ships only what was appended.
+    /// A group purged earlier in the window starts over at zero and drops
+    /// its tombstone. (Floor events are marked in [`Shard::apply`].)
+    fn touch_session(&mut self, group: GlobalGroupId) {
+        self.purged_sessions.remove(&group);
+        let session = &self.session;
+        self.dirty_sessions.entry(group).or_insert_with(|| {
+            session
+                .get(group)
+                .map(GroupSession::lens)
+                .unwrap_or_default()
+        });
     }
 
     /// Whether committing the events that moved the log from `before` to
@@ -1262,6 +1292,7 @@ impl Shard {
         } else {
             members
         };
+        self.touch_session(event.group);
         self.session.apply(&event);
         self.commit(ShardEvent::Session(event));
         Ok(SessionOutcome::Delivered { listeners })
@@ -1410,6 +1441,10 @@ impl Shard {
         }
         let content = self.session.remove(group);
         if content.is_some() {
+            // Whatever re-installs the group inside this window starts its
+            // lanes over: the dirty entry goes, so the next touch says 0.
+            self.dirty_sessions.remove(&group);
+            self.purged_sessions.insert(group);
             self.commit(ShardEvent::SessionPurge(group));
         }
         Ok(content)
@@ -1426,6 +1461,7 @@ impl Shard {
         if self.state != ShardState::Active {
             return Err(ClusterError::ShardDown(self.id));
         }
+        self.touch_session(group);
         self.session.install(group, content.clone());
         self.commit(ShardEvent::SessionInstall { group, content });
         Ok(())
@@ -1515,20 +1551,42 @@ impl Shard {
         Ok(())
     }
 
-    /// Takes a snapshot of the current state now and compacts the log up to
-    /// it (or up to the slowest live follower's ack, if that is behind).
-    pub fn take_snapshot(&mut self) -> &ShardSnapshot {
-        // The whole capture happens with the worker thread stalled, so its
-        // duration is the pause ingest observes — that is what gets recorded.
+    /// Opens a checkpoint: starts the pause clock (the capture runs with the
+    /// worker thread stalled, so its duration is the pause ingest observes)
+    /// and flushes any open group-commit batch — a checkpoint must cover
+    /// every event already applied to the live state, or `applied_seq` would
+    /// claim less history than the arbiter actually holds.
+    fn begin_checkpoint(&mut self) -> Option<Instant> {
         let pause = self.metrics.is_some().then(Instant::now);
-        // A snapshot must cover every event already applied to the live
-        // state: flush any open group-commit batch first so `applied_seq`
-        // cannot claim less history than the arbiter actually holds.
         if !self.pending.is_empty() {
             self.log.append_batch(self.pending.drain(..));
             self.pending_dedup.clear();
             self.pending_session_dedup.clear();
         }
+        pause
+    }
+
+    /// Closes a checkpoint: the log compacts up to it (or up to the slowest
+    /// live follower's ack, if that is behind), everything dirty is inside
+    /// it now, and the pause is recorded.
+    fn end_checkpoint(&mut self, pause: Option<Instant>) {
+        self.compact_log();
+        self.dirty_floor.clear();
+        self.dirty_sessions.clear();
+        self.purged_sessions.clear();
+        self.bytes_since_checkpoint = 0;
+        if let (Some(metrics), Some(pause)) = (&self.metrics, pause) {
+            let nanos = saturating_nanos(pause.elapsed());
+            metrics.snapshot_pause.record(nanos);
+            metrics.snapshot_pause_us.record(nanos / 1_000);
+            metrics.chain_len.record(self.deltas.len() as u64);
+        }
+    }
+
+    /// Takes a full snapshot of the current state now; a fresh base
+    /// obsoletes the delta chain.
+    pub fn take_snapshot(&mut self) -> &ShardSnapshot {
+        let pause = self.begin_checkpoint();
         let snap = ShardSnapshot {
             arbiter: self.arbiter.snapshot(self.log.next_seq()),
             session: dmps_wire::to_string(&self.session),
@@ -1537,71 +1595,40 @@ impl Shard {
         self.prev_checkpoint_tip = self.checkpoint_tip();
         self.snapshot_crc = Some(dmps_wire::crc32_of(&snap));
         self.snapshot = Some(snap);
-        // A fresh full base obsoletes the delta chain and the dirty tracking
-        // that fed it: everything is inside the base now.
         self.deltas.clear();
         self.delta_crcs.clear();
-        self.compact_log();
-        self.dirty_floor.clear();
-        self.dirty_sessions.clear();
-        self.purged_sessions.clear();
-        self.bytes_since_checkpoint = 0;
         self.need_full = false;
-        if let (Some(metrics), Some(pause)) = (&self.metrics, pause) {
-            let elapsed = pause.elapsed();
-            metrics.snapshot_pause.record(saturating_nanos(elapsed));
-            metrics
-                .snapshot_pause_us
-                .record(saturating_nanos(elapsed) / 1_000);
-            metrics.chain_len.record(0);
-        }
+        self.end_checkpoint(pause);
         self.snapshot.as_ref().expect("just stored")
     }
 
-    /// Takes a differential checkpoint: only the arbiter groups and session
-    /// logs touched since the last checkpoint (plus purge tombstones and the
-    /// frozen set, which ships wholesale — it is tiny), chained on the
-    /// current full base. The log compacts exactly as it does for a full
-    /// snapshot, so durability cost stays O(dirty), not O(shard).
+    /// Takes a differential checkpoint: only the arbiter groups touched and
+    /// the session entries appended since the last checkpoint (plus purge
+    /// tombstones and the frozen set, which ships wholesale — it is tiny),
+    /// chained on the current full base. The log compacts exactly as it does
+    /// for a full snapshot, so durability cost stays O(dirty + appended),
+    /// not O(shard).
     pub fn take_delta(&mut self) -> &SnapshotDelta {
-        let pause = self.metrics.is_some().then(Instant::now);
-        // Same flush rule as a full snapshot: the checkpoint must cover every
-        // event already applied to the live state.
-        if !self.pending.is_empty() {
-            self.log.append_batch(self.pending.drain(..));
-            self.pending_dedup.clear();
-            self.pending_session_dedup.clear();
-        }
-        let applied = self.log.next_seq();
+        let pause = self.begin_checkpoint();
         let base_seq = self.checkpoint_tip();
+        let sessions = self.dirty_sessions.iter().filter_map(|(group, from)| {
+            Some((*group, *from, self.session.get(*group)?.suffix(*from)))
+        });
         let delta = SnapshotDelta {
-            arbiter: self.arbiter.export_delta(applied, &self.dirty_floor),
-            sessions: self
-                .dirty_sessions
-                .iter()
-                .filter(|g| self.session.contains(**g))
-                .map(|g| (*g, self.session.view(*g)))
-                .collect(),
+            arbiter: self
+                .arbiter
+                .export_delta(self.log.next_seq(), &self.dirty_floor),
+            sessions: sessions.collect(),
             purged: self.purged_sessions.iter().copied().collect(),
             frozen: self.frozen.iter().copied().collect(),
             base_seq,
         };
-        self.dirty_floor.clear();
-        self.dirty_sessions.clear();
-        self.purged_sessions.clear();
-        self.bytes_since_checkpoint = 0;
         self.prev_checkpoint_tip = base_seq;
         self.deltas.push(delta);
-        self.compact_log();
+        self.end_checkpoint(pause);
         let delta = self.deltas.last().expect("just stored");
-        if let (Some(metrics), Some(pause)) = (&self.metrics, pause) {
-            let elapsed = pause.elapsed();
-            metrics.snapshot_pause.record(saturating_nanos(elapsed));
-            metrics
-                .snapshot_pause_us
-                .record(saturating_nanos(elapsed) / 1_000);
+        if let Some(metrics) = &self.metrics {
             metrics.delta_bytes.add(delta.size_bytes() as u64);
-            metrics.chain_len.record(self.deltas.len() as u64);
         }
         self.delta_crcs.push(dmps_wire::crc32_of(delta));
         delta
@@ -1761,22 +1788,16 @@ impl Shard {
             ),
         };
         // Fold the differential chain onto the base, oldest first: each delta
-        // replaces exactly the groups it shipped, removes its tombstones, and
-        // carries the full frozen set as of its cut.
+        // replaces the arbiter entries it shipped, extends the session lanes
+        // it saw grow, removes its tombstones, and carries the full frozen
+        // set as of its cut.
         for (i, delta) in self.deltas.iter().enumerate() {
-            arbiter
-                .apply_delta(&delta.arbiter)
+            delta
+                .fold(&mut arbiter, &mut session, &mut frozen)
                 .map_err(|e| ClusterError::Corrupt {
                     shard: self.id,
                     what: format!("snapshot delta {i} does not fold: {e}"),
                 })?;
-            for (group, content) in &delta.sessions {
-                session.replace(*group, content.clone());
-            }
-            for group in &delta.purged {
-                session.remove(*group);
-            }
-            frozen = delta.frozen.iter().copied().collect();
             from_seq = delta.applied_seq();
         }
         for event in self.log.events_from(from_seq) {
@@ -2182,6 +2203,30 @@ mod tests {
     }
 
     #[test]
+    fn delta_suffix_past_the_restorer_keeps_recovery_quarantined() {
+        for from in [2, u64::MAX] {
+            let mut shard = Shard::new(ShardId(1), 0, 64);
+            scripted(&mut shard, 4);
+            scripted_more(&mut shard, 1);
+            shard.take_snapshot();
+            scripted_more(&mut shard, 1);
+            shard.take_delta();
+            // The delta claims chat history the base never held, under a
+            // re-stamped checksum: only the fold can notice.
+            assert_eq!(shard.deltas[0].sessions[0].1, (1, 0, 0, 0));
+            shard.deltas[0].sessions[0].1 .0 = from;
+            shard.delta_crcs[0] = dmps_wire::crc32_of(&shard.deltas[0]);
+            shard.crash();
+            let err = shard.recover().unwrap_err();
+            assert!(
+                matches!(&err, ClusterError::Corrupt { what, .. } if what.contains("does not fold")),
+                "got {err:?}"
+            );
+            assert!(!shard.is_active(), "no silent gap: the shard stays failed");
+        }
+    }
+
+    #[test]
     fn torn_snapshot_write_is_caught_by_the_parser() {
         let mut shard = Shard::new(ShardId(3), 0, 64);
         scripted(&mut shard, 2);
@@ -2329,7 +2374,7 @@ mod tests {
                 .apply_session(session_event(
                     0,
                     SessionOpKind::Chat {
-                        text: format!("line {i}"),
+                        text: format!("line {i}").into(),
                     },
                 ))
                 .unwrap();
@@ -2659,7 +2704,7 @@ mod tests {
                 .apply_session(session_event(
                     i % 4,
                     SessionOpKind::Chat {
-                        text: format!("msg {i}"),
+                        text: format!("msg {i}").into(),
                     },
                 ))
                 .unwrap();

@@ -8,11 +8,22 @@
 //! This is the correctness contract that lets the checkpoint pause shrink
 //! from O(shard) to O(dirty-since-last-checkpoint): the differential chain
 //! must be an *indistinguishable* durability format, not an approximation.
+//!
+//! And the window-soundness property the differential format itself owes its
+//! restorers: a delta carries, per dirty group, only the session entries its
+//! window appended (*truncate to the window's start, then extend*), yet it
+//! must fold onto a restorer positioned at **any** log position inside the
+//! window — including across a purge → install — and land exactly on the
+//! live state at the delta's cut.
 
-use dmps_cluster::session::SessionEvent;
-use dmps_cluster::{GlobalGroupId, GlobalMemberId, SessionOpKind, Shard, ShardId};
+use std::collections::BTreeSet;
+
+use dmps_cluster::session::{SessionEvent, SessionStore};
+use dmps_cluster::{
+    GlobalGroupId, GlobalMemberId, GroupSession, SessionOpKind, Shard, ShardId, SnapshotDelta,
+};
 use dmps_floor::snapshot::ArbiterEvent;
-use dmps_floor::{FcmMode, FloorRequest, GroupId, Member, MemberId, Role};
+use dmps_floor::{FcmMode, FloorArbiter, FloorRequest, GroupId, Member, MemberId, Role};
 use proptest::prelude::*;
 
 const GROUPS: usize = 3;
@@ -28,6 +39,13 @@ enum Op {
     /// Freeze + unfreeze one group (an aborted handoff) so frozen-set
     /// carriage through deltas is exercised too.
     FreezeThaw(usize),
+    /// The group's session content migrates away.
+    Purge(usize),
+    /// Session content migrates in: merged on top of what is there, or —
+    /// right after a purge — starting the group's lanes over.
+    Install(usize, usize),
+    /// Both, back to back: always inside one checkpoint window.
+    PurgeInstall(usize, usize),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -37,6 +55,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0..GROUPS, 0..MEMBERS, 0..MEMBERS).prop_map(|(g, a, b)| Op::Pass(g, a, b)),
         (0..GROUPS, 0..MEMBERS).prop_map(|(g, m)| Op::Chat(g, m)),
         (0..GROUPS).prop_map(Op::FreezeThaw),
+        (0..GROUPS).prop_map(Op::Purge),
+        (0..GROUPS, 0..MEMBERS).prop_map(|(g, n)| Op::Install(g, n)),
+        (0..GROUPS, 0..MEMBERS).prop_map(|(g, n)| Op::PurgeInstall(g, n)),
     ]
 }
 
@@ -99,7 +120,7 @@ fn apply(shard: &mut Shard, op: Op) -> String {
                 from: GlobalMemberId((g * MEMBERS + m) as u64),
                 local_from: MemberId(m),
                 kind: SessionOpKind::Chat {
-                    text: format!("g{g}m{m}"),
+                    text: format!("g{g}m{m}").into(),
                 },
             })
         ),
@@ -111,7 +132,41 @@ fn apply(shard: &mut Shard, op: Op) -> String {
             }
             format!("freeze-thaw {prepared}")
         }
+        Op::Purge(g) => format!("{:?}", shard.extract_session(GlobalGroupId(g as u64))),
+        Op::Install(g, n) => {
+            let from = GlobalMemberId(n as u64);
+            let content = GroupSession {
+                chat: (0..n).map(|i| (from, format!("in{i}").into())).collect(),
+                whiteboard: vec![(from, "stroke".into())],
+                ..GroupSession::default()
+            };
+            format!(
+                "{:?}",
+                shard.install_session(GlobalGroupId(g as u64), content)
+            )
+        }
+        Op::PurgeInstall(g, n) => {
+            apply(shard, Op::Purge(g));
+            apply(shard, Op::Install(g, n))
+        }
     }
+}
+
+/// The live state a restorer would hold at the shard's current log position.
+type Restorer = (FloorArbiter, SessionStore, BTreeSet<GlobalGroupId>);
+
+fn restorer(shard: &Shard) -> Restorer {
+    let frozen = (0..GROUPS as u64).map(GlobalGroupId);
+    (
+        shard.arbiter().clone(),
+        shard.session().clone(),
+        frozen.filter(|g| shard.is_frozen(*g)).collect(),
+    )
+}
+
+fn folded(delta: &SnapshotDelta, mut onto: Restorer) -> Result<Restorer, String> {
+    delta.fold(&mut onto.0, &mut onto.1, &mut onto.2)?;
+    Ok(onto)
 }
 
 /// Everything a shard's durable state reconstructs: the arbiter (wire
@@ -167,6 +222,46 @@ proptest! {
             shard.recover().unwrap();
             shard.arbiter().check_invariants().unwrap();
             prop_assert_eq!(&fingerprint(shard), &live, "recovery lost state");
+        }
+    }
+
+    /// Checkpoints at random cuts of a random floor / session / purge /
+    /// install stream. Every delta, folded onto the state at *every* log
+    /// position of its window, gives exactly the live state at its cut, and
+    /// so does the shard's own base + chain recovery.
+    #[test]
+    fn a_delta_folds_from_anywhere_inside_its_window(
+        windows in proptest::collection::vec(
+            (proptest::collection::vec(arb_op(), 0..12), 0usize..GROUPS, 0usize..MEMBERS),
+            2..7,
+        ),
+    ) {
+        let mut shard = build(0, 0, 64);
+        shard.take_snapshot();
+        // The restorer positions of the current window, its start included.
+        let mut inside = vec![restorer(&shard)];
+        for (ops, g, n) in windows {
+            // By construction every case grows group 0 in consecutive
+            // windows and crosses a purge → install (then more growth)
+            // inside one window; installs cannot be floor-denied.
+            let fixed = [Op::Install(0, 1), Op::PurgeInstall(g, n), Op::Install(g, 1)];
+            for op in fixed.into_iter().chain(ops) {
+                apply(&mut shard, op);
+                inside.push(restorer(&shard));
+            }
+            let delta = shard.take_delta().clone();
+            let cut = inside.last().expect("window start").clone();
+            prop_assert_eq!(delta.applied_seq(), shard.log().next_seq());
+            for (at, position) in inside.iter().enumerate() {
+                let landed = folded(&delta, position.clone());
+                prop_assert_eq!(landed.as_ref(), Ok(&cut), "restorer at offset {} of the window", at);
+            }
+            // The chain a crashed shard recovers from is the same fold.
+            shard.crash();
+            shard.recover().unwrap();
+            prop_assert_eq!(&restorer(&shard), &cut);
+            shard.arbiter().check_invariants().unwrap();
+            inside = vec![cut];
         }
     }
 }

@@ -27,6 +27,7 @@
 //! session.check_invariants().unwrap();
 //! ```
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use dmps_cluster::{
@@ -236,7 +237,7 @@ impl ClusterSession {
     /// # Errors
     ///
     /// Returns index and routing errors.
-    pub fn chat_at(&mut self, at: SimTime, index: usize, text: impl Into<String>) -> Result<u64> {
+    pub fn chat_at(&mut self, at: SimTime, index: usize, text: impl Into<Arc<str>>) -> Result<u64> {
         self.chat_in_at(at, self.main, index, text)
     }
 
@@ -250,7 +251,7 @@ impl ClusterSession {
         at: SimTime,
         group: GlobalGroupId,
         index: usize,
-        text: impl Into<String>,
+        text: impl Into<Arc<str>>,
     ) -> Result<u64> {
         let member = self.member(index)?;
         Ok(self
@@ -267,7 +268,7 @@ impl ClusterSession {
         &mut self,
         at: SimTime,
         index: usize,
-        stroke: impl Into<String>,
+        stroke: impl Into<Arc<str>>,
     ) -> Result<u64> {
         let member = self.member(index)?;
         Ok(self
@@ -284,7 +285,7 @@ impl ClusterSession {
         &mut self,
         at: SimTime,
         index: usize,
-        text: impl Into<String>,
+        text: impl Into<Arc<str>>,
     ) -> Result<u64> {
         let member = self.member(index)?;
         Ok(self
@@ -305,7 +306,7 @@ impl ClusterSession {
         &mut self,
         at: SimTime,
         index: usize,
-        media: impl Into<String>,
+        media: impl Into<Arc<str>>,
         start: SimTime,
     ) -> Result<u64> {
         let member = self.member(index)?;
@@ -382,7 +383,7 @@ impl ClusterSession {
     /// # Errors
     ///
     /// Returns [`DmpsError::Cluster`] for an unknown group.
-    pub fn chat_log(&self, group: GlobalGroupId) -> Result<Vec<(GlobalMemberId, String)>> {
+    pub fn chat_log(&self, group: GlobalGroupId) -> Result<Vec<(GlobalMemberId, Arc<str>)>> {
         Ok(self.session_view(group)?.chat)
     }
 
@@ -397,7 +398,7 @@ impl ClusterSession {
     pub fn playbacks(
         &self,
         group: GlobalGroupId,
-    ) -> Result<Vec<(GlobalMemberId, String, SimTime)>> {
+    ) -> Result<Vec<(GlobalMemberId, Arc<str>, SimTime)>> {
         let placement = self.sim.cluster().placement(group)?;
         let arbiter = self.sim.cluster().arbiter(placement.shard);
         let roster: Vec<GlobalMemberId> = arbiter
@@ -545,7 +546,7 @@ mod tests {
         session.run_to_idle();
         let view = session.session_view(sub).unwrap();
         assert_eq!(view.chat.len(), 1);
-        assert_eq!(view.chat[0].1, "just us");
+        assert_eq!(&*view.chat[0].1, "just us");
         assert!(session
             .session_acks()
             .iter()

@@ -28,6 +28,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Errors raised while decoding.
@@ -316,8 +317,15 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a length-prefixed string.
+    /// Reads a length-prefixed string into a fresh `String`.
     pub fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// Reads a length-prefixed string as a slice of the input — the borrowed
+    /// form [`Reader::str`] wraps, so a decoder that builds its own owner
+    /// (`String`, `Arc<str>`) copies the bytes exactly once.
+    pub fn str_ref(&mut self) -> Result<&'a str> {
         self.skip_sep();
         if self.pos >= self.input.len() {
             return Err(WireError::UnexpectedEnd);
@@ -340,7 +348,7 @@ impl<'a> Reader<'a> {
         }
         let s = rest.get(start..end).ok_or(WireError::UnexpectedEnd)?;
         self.pos += end;
-        Ok(s.to_string())
+        Ok(s)
     }
 }
 
@@ -563,6 +571,18 @@ impl Wire for String {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         r.str()
+    }
+}
+
+/// A shared immutable string: byte-identical to `String`'s encoding, and one
+/// allocation per decode (the `Arc` is built straight from the input slice).
+impl Wire for Arc<str> {
+    fn encode(&self, w: &mut Writer) {
+        w.str(self);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        r.str_ref().map(Arc::from)
     }
 }
 

@@ -10,6 +10,7 @@
 //! every stored CRC would stop verifying.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dmps_cluster::session::SessionEvent;
 use dmps_cluster::{GlobalGroupId, GlobalMemberId, SessionOpKind, Shard, ShardEvent, ShardId};
@@ -140,7 +141,7 @@ fn driven_shard(ops: &[(usize, usize)], chat_len: usize) -> (Shard, Vec<ShardEve
                 from: GlobalMemberId(m as u64),
                 local_from: MemberId(m),
                 kind: SessionOpKind::Chat {
-                    text: "é: 1".repeat(chat_len / 5),
+                    text: "é: 1".repeat(chat_len / 5).into(),
                 },
             });
         }
@@ -200,6 +201,31 @@ proptest! {
         prop_assert_eq!(crc32_of(&padded), crc32(to_string(&padded).as_bytes()));
     }
 
+    /// A shared string is a `String` on the wire: same tokens, same
+    /// checksum, and each decodes what the other encoded — for arbitrary
+    /// text incl. multi-byte codepoints, at lengths on both sides of the
+    /// hashing writer's staging size.
+    #[test]
+    fn shared_strings_encode_and_hash_as_owned_strings(
+        s in arb_string(),
+        long in 0usize..10_000,
+    ) {
+        for owned in [s.clone(), format!("{s}{}", "→z".repeat(long / 4))] {
+            let shared: Arc<str> = Arc::from(owned.as_str());
+            let encoded = to_string(&shared);
+            prop_assert_eq!(&encoded, &to_string(&owned));
+            prop_assert_eq!(crc32_of(&shared), crc32_of(&owned));
+            prop_assert_eq!(crc32_of(&shared), crc32(encoded.as_bytes()));
+            prop_assert_eq!(&*from_str::<Arc<str>>(&encoded).unwrap(), owned.as_str());
+            prop_assert_eq!(from_str::<String>(&encoded).unwrap(), owned);
+            // In a sequence too: the borrowed read leaves the cursor where
+            // the allocating read did.
+            let pair = (shared.clone(), 7u64, shared);
+            let back: (String, u64, Arc<str>) = from_str(&to_string(&pair)).unwrap();
+            prop_assert_eq!((back.0.as_str(), back.1, &*back.2), (&*pair.0, 7, &*pair.2));
+        }
+    }
+
     /// Every checksum the cluster stores — per sealed segment, per delta,
     /// per base — is the one the materializing codec would have stored.
     #[test]
@@ -254,6 +280,7 @@ proptest! {
         let input = tokens.join(" ");
         let _ = from_str::<Deep>(&input);
         let _ = from_str::<String>(&input);
+        let _ = from_str::<Arc<str>>(&input);
         let _ = from_str::<Vec<u64>>(&input);
         let _ = from_str_checksummed::<Deep>(&input);
     }

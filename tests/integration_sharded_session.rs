@@ -129,13 +129,13 @@ fn full_session_runs_sharded_with_mid_session_crash() {
     // order, plus the durable playback schedule.
     let view = session.session_view(main).unwrap();
     assert_eq!(view.chat.len(), 2, "teacher's line + exactly one student");
-    assert_eq!(view.chat[0].1, "welcome to the lecture");
+    assert_eq!(&*view.chat[0].1, "welcome to the lecture");
     assert!(view.chat[1].1.starts_with("my turn now"));
     assert_eq!(view.whiteboard.len(), 1);
     assert_eq!(view.annotations.len(), 1);
     assert_eq!(
         view.media,
-        vec![("intro-video".to_string(), SimTime::from_secs(6))]
+        vec![("intro-video".into(), SimTime::from_secs(6))]
     );
 
     // Synchronized playback: one record per member, all starting at the same
@@ -144,12 +144,12 @@ fn full_session_runs_sharded_with_mid_session_crash() {
     assert_eq!(playbacks.len(), 6);
     assert!(playbacks
         .iter()
-        .all(|(_, media, start)| media == "intro-video" && *start == SimTime::from_secs(6)));
+        .all(|(_, media, start)| &**media == "intro-video" && *start == SimTime::from_secs(6)));
 
     // The sub-session's private chat is intact on its own shard.
     let sub_view = session.session_view(sub).unwrap();
     assert_eq!(sub_view.chat.len(), 2);
-    assert_eq!(sub_view.chat[0].1, "quick question");
+    assert_eq!(&*sub_view.chat[0].1, "quick question");
 
     // Exactly-once accounting: every submission — floor and session — was
     // answered exactly once despite drops and retries.
