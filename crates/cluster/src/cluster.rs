@@ -3,12 +3,13 @@
 //!
 //! The concurrent machinery lives in the crate-private `Core`: a
 //! [`Directory`] of placements/membership taken by `&self`, and one
-//! persistent worker thread per shard draining an MPSC command queue (the
-//! `worker` module). Any number of [`Gateway`] handles —
-//! each a clone holding the same `Arc<Core>` — submit ops concurrently.
+//! pipeline per shard — a steppable core fed by a bounded command queue,
+//! stepped by its worker thread or, on one CPU, by a caller that finds it
+//! idle (the `worker` module). Any number of [`Gateway`] handles — each a
+//! clone holding the same `Arc<Core>` — submit ops concurrently.
 //! Floor requests and session operations are one [`Op`] to this layer: one
 //! scalar and one vectored submit translate an op to the owning shard's
-//! dense local ids, queue it to that shard's worker (or park it while its
+//! dense local ids, hand it to that shard's pipeline (or park it while its
 //! group is frozen by a live handoff), and its [`Reply`] streams back to the
 //! submitting gateway.
 //!
@@ -40,7 +41,7 @@ use crate::replication::{lock_core, FollowerCore, ReplicaSet};
 use crate::ring::{HashRing, ShardId};
 use crate::session::{GroupSession, SessionEvent, SessionOutcome};
 use crate::shard::{CorruptionTarget, GlobalGroupId, GlobalMemberId, Shard, ShardView};
-use crate::worker::{BarrierFn, ReplyRegistry, ReplyTo, ShardCommand, ShardWorker};
+use crate::worker::{Control, ReplyRegistry, ReplyTo, ShardCommand, ShardWorker};
 use dmps_telemetry::Stage as TraceStage;
 use dmps_telemetry::{MetricsRegistry, TraceSpan};
 
@@ -82,8 +83,8 @@ pub struct ClusterConfig {
     /// [`OverloadPolicy::Shed`] answers it with
     /// [`ClusterError::Overloaded`] on its decision stream.
     pub overload: OverloadPolicy,
-    /// How many commands a shard worker drains — and group-commits as one
-    /// log append with one snapshot-cadence check — per wakeup (minimum 1).
+    /// How many commands one step of a shard's pipeline drains at most —
+    /// and group-commits as one log append with one cadence check (min 1).
     pub ingest_batch: usize,
     /// End-to-end pipeline tracing rate: one in every `trace_sampling`
     /// submissions carries a [`crate::telemetry::TraceSpan`]
@@ -391,28 +392,32 @@ fn queue_position_in(
 }
 
 /// The concurrent heart of the control plane: the shared [`Directory`] and
-/// the per-shard worker queues. Shared via `Arc` by every [`Gateway`] and the
+/// the per-shard pipelines. Shared via `Arc` by every [`Gateway`] and the
 /// owning [`Cluster`].
 #[derive(Debug)]
 pub(crate) struct Core {
     config: ClusterConfig,
     pub(crate) directory: Directory,
     /// Gateway reply channels, registered once per gateway; commands carry a
-    /// small handle instead of a cloned `Sender`. Shared with every worker.
+    /// small handle instead of a cloned `Sender`. Shared with every shard.
     pub(crate) registry: Arc<ReplyRegistry>,
     workers: RwLock<Vec<ShardWorker>>,
+    /// Whether callers step an idle shard on their own thread: when the
+    /// process can run on one CPU (the affinity mask counts), observed once
+    /// at construction.
+    step_inline: bool,
     /// Groups frozen by an in-flight live handoff, each with the streamed
     /// submissions that arrived during its frozen window. Presence of the
     /// key is the routing-level freeze; the ops are re-driven through the
     /// normal submit path when the handoff commits or aborts.
     ///
     /// An `RwLock` on purpose: the submit paths hold a *read* guard across
-    /// the worker-queue send (readers never contend with each other, so
+    /// the hand-off to the shard (readers never contend with each other, so
     /// multi-gateway ingest keeps scaling), while `freeze_routing` takes the
     /// *write* lock — which therefore cannot be acquired until every
-    /// submission that passed the not-frozen check has finished enqueueing.
-    /// That ordering is what makes the freeze race-free: a racing submission
-    /// either parks, or is already in the worker queue ahead of the prepare
+    /// submission that passed the not-frozen check has been queued or
+    /// applied. That ordering is what makes the freeze race-free: a racing
+    /// submission either parks, or reaches the shard ahead of the prepare
     /// command and is reflected in the export.
     parked: RwLock<BTreeMap<GlobalGroupId, Vec<ParkedOp>>>,
     /// Cluster-wide metrics registry, span sampler and span log, shared with
@@ -423,11 +428,18 @@ pub(crate) struct Core {
 
 impl Core {
     pub(crate) fn new(config: ClusterConfig) -> Self {
+        let one_cpu = std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
+        Core::build(config, one_cpu)
+    }
+
+    /// [`Core::new`] with the CPU observation made by the caller.
+    pub(crate) fn build(config: ClusterConfig, step_inline: bool) -> Self {
         let mut core = Core {
             config,
             directory: Directory::new(HashRing::new(config.shards, config.vnodes)),
             registry: Arc::default(),
             workers: RwLock::default(),
+            step_inline,
             parked: RwLock::default(),
             telemetry: ClusterTelemetry::new(config.trace_sampling),
         };
@@ -436,14 +448,15 @@ impl Core {
         core
     }
 
-    /// Builds shard `id` under this cluster's durability policy and spawns
-    /// the worker pipeline that owns it.
+    /// Builds shard `id` under this cluster's durability policy and the
+    /// pipeline that owns it.
     fn spawn_worker(&self, id: ShardId) -> ShardWorker {
         let config = &self.config;
         let mut shard = Shard::new(id, config.snapshot_every, config.dedup_window);
         shard.set_snapshot_policy(config.snapshot_every_bytes, config.snapshot_chain);
         shard.set_metrics(self.telemetry.shard(id.0));
-        ShardWorker::spawn(shard, config, &self.telemetry, self.registry.clone())
+        let registry = self.registry.clone();
+        ShardWorker::spawn(shard, config, &self.telemetry, registry, self.step_inline)
     }
 
     /// Runs `f` with `shard`'s worker handle. Panics for an out-of-range id
@@ -497,38 +510,31 @@ impl Core {
         }
     }
 
-    /// Runs `f` on the worker thread owning `shard`, with the shard and its
-    /// replica set, and returns its result; `command` picks the barrier
-    /// ([`ShardCommand::With`]) or non-barrier ([`ShardCommand::Fault`])
-    /// control path.
+    /// Runs `f` with `shard` and its replica set and returns its result;
+    /// `kind` picks the barrier, worker-pinned or non-barrier fault path
+    /// (see [`Control`]).
     fn control<R: Send + 'static>(
         &self,
         shard: ShardId,
-        command: fn(BarrierFn) -> ShardCommand,
+        kind: Control,
         f: impl FnOnce(&mut Shard, &mut ReplicaSet) -> R + Send + 'static,
     ) -> R {
-        let (tx, rx) = channel();
-        // Control commands are exempt from the ingest bound: a saturated
-        // queue must never starve (or deadlock) the control plane.
-        let barrier = command(Box::new(move |s, r| {
-            let _ = tx.send(f(s, r));
-        }));
-        self.with_worker(shard, |worker| worker.send_control(barrier));
-        rx.recv().expect("shard worker answers")
+        self.with_worker(shard, |worker| worker.control(kind, f))
     }
 
-    /// Runs `f` on the worker thread owning `shard` and returns its result
+    /// Runs `f` with exclusive access to `shard` as a control barrier — on
+    /// the calling thread when the shard is idle — and returns its result
     /// (panics for an out-of-range id).
     pub(crate) fn with_shard<R: Send + 'static>(
         &self,
         shard: ShardId,
         f: impl FnOnce(&mut Shard) -> R + Send + 'static,
     ) -> R {
-        self.control(shard, ShardCommand::With, move |s, _| f(s))
+        self.control(shard, Control::Barrier, move |s, _| f(s))
     }
 
     /// Like [`Core::with_shard`] — plus the shard's replica set — but through
-    /// the **non-barrier** [`ShardCommand::Fault`] path: the closure runs with
+    /// the **non-barrier** [`Control::Fault`] path: the closure runs with
     /// the pipeline left exactly as it is — batches still parked
     /// mid-quorum-write — which is what lets an injected partition or
     /// corruption land *inside* a quorum write instead of between two fully
@@ -538,7 +544,7 @@ impl Core {
         shard: ShardId,
         f: impl FnOnce(&mut Shard, &mut ReplicaSet) -> R + Send + 'static,
     ) -> R {
-        self.control(shard, ShardCommand::Fault, f)
+        self.control(shard, Control::Fault, f)
     }
 
     /// Translates an op to the owning shard's local ids — by value, so a
@@ -578,11 +584,10 @@ impl Core {
         Ok((shard, op))
     }
 
-    /// Pushes one localized op onto its shard's bounded queue; the reply
-    /// will stream to `reply`. When the queue is full, the configured
-    /// [`OverloadPolicy`] decides: `Block` waits for space (lossless
-    /// backpressure), `Shed` answers the submission with
-    /// [`ClusterError::Overloaded`] on its reply route.
+    /// Hands one localized op to its shard; the reply will stream to
+    /// `reply`. A full queue applies the [`OverloadPolicy`]: `Block` waits
+    /// for space, `Shed` answers [`ClusterError::Overloaded`] on the reply
+    /// route.
     fn enqueue(
         &self,
         shard: ShardId,
@@ -604,7 +609,7 @@ impl Core {
             reply,
             span,
         };
-        if let Err(rejected) = workers[shard.0].push_ingest(command, self.config.overload) {
+        for rejected in workers[shard.0].ingest(std::iter::once(command), self.config.overload) {
             self.shed(shard, rejected);
         }
     }
@@ -618,12 +623,12 @@ impl Core {
     ///
     /// The routing happens under the parking lot's read guard: a concurrent
     /// `freeze_routing` (write lock) cannot interleave between the
-    /// not-frozen check and the worker-queue send, so every accepted
+    /// not-frozen check and the hand-off to the shard, so every accepted
     /// submission either parks or lands ahead of the handoff's prepare
     /// command — never behind the freeze where it would bounce with
     /// [`ClusterError::GroupFrozen`]. (Holding the read guard across a
-    /// `Block` wait is deadlock-free: the worker draining the queue never
-    /// takes routing locks.)
+    /// `Block` wait, or across stepping the shard inline, is deadlock-free:
+    /// stepping a shard never takes routing locks.)
     pub(crate) fn submit_as(&self, seq: u64, op: Op, reply: ReplyTo) -> Result<()> {
         // Sampled 1-in-N: almost every submission skips straight past this.
         let mut span = self.telemetry.begin_span(seq, op.label());
@@ -741,7 +746,7 @@ impl Core {
     /// `Some(n)` when they wait at position `n` (1 = next), `None` when they
     /// are neither. The hot poll of an Equal Control session — every waiting
     /// student asking "how far am I?" — which is exactly the read that must
-    /// scale with followers instead of contending on the owning worker.
+    /// scale with followers instead of contending on the owning leader.
     pub(crate) fn queue_position_bounded(
         &self,
         group: GlobalGroupId,
@@ -838,11 +843,13 @@ impl Core {
                     Err(e) => self.answer(reply, Reply::failed(session, seq, group, None, e)),
                 }
             }
-            // One queue reservation per shard, still under the read guard so
-            // a racing freeze orders before or after the whole batch.
+            // One queue reservation (or one inline step) per shard, still
+            // under the read guard so a racing freeze orders before or after
+            // the whole batch.
             let workers = read(&self.workers);
             for (shard, commands) in per_shard {
-                for rejected in workers[shard.0].push_ingest_many(commands, self.config.overload) {
+                for rejected in workers[shard.0].ingest(commands.into_iter(), self.config.overload)
+                {
                     self.shed(shard, rejected);
                 }
             }
@@ -895,7 +902,7 @@ impl Core {
     ///
     /// The member's directory stripe stays write-locked across the AddMember
     /// round-trip so two gateways racing to instantiate the same member
-    /// cannot register it twice; shard workers never take directory locks,
+    /// cannot register it twice; stepping a shard never takes directory locks,
     /// so no cycle can form.
     fn ensure_on_shard(
         &self,
@@ -942,7 +949,7 @@ impl Core {
         // the export captures the roster, so a join applied on the source
         // mid-handoff would be lost by the commit's install/purge. Frozen
         // groups fail fast and retryable, like the synchronous request
-        // paths; the read guard stays held across the worker round-trip so
+        // paths; the read guard stays held across the shard round-trip so
         // a freeze racing this join must wait until the mutation is ordered
         // before the handoff's prepare command (and thus in the export).
         let parked = read(&self.parked);
@@ -1034,7 +1041,7 @@ impl Core {
         accept: bool,
     ) -> Result<InvitationStatus> {
         // The invitations lock is held across the join so two racing answers
-        // serialize; join only takes member-stripe and worker resources,
+        // serialize; join only takes member-stripe and shard resources,
         // never the invitations lock again.
         self.directory
             .with_invitations_mut(|invitations| -> Result<InvitationStatus> {
@@ -1099,7 +1106,7 @@ impl Core {
                 continue;
             }
             let local = placement.local;
-            // One worker round-trip inspects the floor state and, when idle,
+            // One shard round-trip inspects the floor state and, when idle,
             // captures the roster atomically with respect to that shard.
             let idle_roster: Result<Option<(String, FcmMode, Vec<MemberId>)>> =
                 self.with_shard(placement.shard, move |s| {
@@ -1194,12 +1201,12 @@ impl Core {
     ///
     /// The write guard stays held across the whole re-drive: a fresh
     /// submission for the group cannot pass the not-frozen check (its read
-    /// lock waits) until every parked op is already in its worker queue, so
+    /// lock waits) until every parked op has reached its shard, so
     /// per-gateway arrival order is preserved across the frozen window —
     /// without this, a post-unfreeze submission could overtake older parked
     /// ops. Holding it across a `Block` wait on a full queue is safe for
-    /// the same reason every submit-side wait is: the worker draining the
-    /// queue never takes routing locks, so it always makes progress.
+    /// the same reason every submit-side wait is: stepping a shard never
+    /// takes routing locks, so the queue always drains.
     fn unfreeze_and_redrive(&self, group: GlobalGroupId) {
         let mut parked = write(&self.parked);
         for ParkedOp { seq, op, reply } in parked.remove(&group).unwrap_or_default() {
@@ -1234,7 +1241,7 @@ impl Core {
             return Err(ClusterError::ShardDown(target));
         }
         // Routing freeze first, then the shard-side freeze: every submission
-        // racing the handoff either parks here or reaches the source worker
+        // racing the handoff either parks here or reaches the source shard
         // *before* its prepare command and is therefore reflected in the
         // export.
         if !self.freeze_routing(group) {
@@ -1551,7 +1558,7 @@ impl std::ops::Deref for Cluster {
 
 impl Cluster {
     /// Builds a cluster of `config.shards` active shards, spawning one
-    /// persistent worker thread per shard.
+    /// pipeline — and worker thread — per shard.
     pub fn new(config: ClusterConfig) -> Self {
         let core = Arc::new(Core::new(config));
         let gateway = Gateway::new(core.clone());
@@ -1583,14 +1590,29 @@ impl Cluster {
     }
 
     /// An owned copy of the shard's arbiter, for inspection. The shard's
-    /// state lives on its worker thread, so inspection clones it out rather
+    /// state lives in its pipeline, so inspection clones it out rather
     /// than borrowing.
     ///
     /// # Panics
     ///
     /// Panics for an out-of-range id (shard ids come from this cluster).
     pub fn arbiter(&self, shard: ShardId) -> FloorArbiter {
-        self.core.with_shard(shard, |s| s.arbiter().clone())
+        self.inspect_shard(shard, |s| s.arbiter().clone())
+    }
+
+    /// Runs `f` on one shard's committed state and returns its result; the
+    /// shard takes no other command until `f` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an out-of-range id, and resumes a panic of `f` — after
+    /// which the shard is down until [`Cluster::recover_shard`].
+    pub fn inspect_shard<R: Send + 'static>(
+        &self,
+        shard: ShardId,
+        f: impl FnOnce(&Shard) -> R + Send + 'static,
+    ) -> R {
+        self.core.with_shard(shard, move |s| f(s))
     }
 
     /// Health and counters of one shard.
@@ -1660,7 +1682,7 @@ impl Cluster {
     /// log-bucketed latency histograms and bounded time-series under stable
     /// names (`cluster.submit_latency_ns`, `cluster.shard.N.queue_depth`,
     /// `gateway.G.submit_batch_size`, …). Shared with every gateway and
-    /// worker, so it reflects the live cluster at any moment.
+    /// shard pipeline, so it reflects the live cluster at any moment.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.core.telemetry.registry)
     }
@@ -1688,7 +1710,7 @@ impl Cluster {
     /// Crashes a shard's primary process. Requests routed to the shard fail
     /// with [`ClusterError::ShardDown`] until recovery.
     pub fn crash_shard(&mut self, shard: ShardId) {
-        self.core.with_shard(shard, |s| s.crash());
+        self.core.control(shard, Control::Pinned, |s, _| s.crash());
     }
 
     /// A standby recovers the shard from its snapshot + log. With followers
@@ -1706,7 +1728,7 @@ impl Cluster {
     pub fn recover_shard(&mut self, shard: ShardId) -> Result<()> {
         // Promotion needs both halves: the shard and its replica set.
         self.core
-            .control(shard, ShardCommand::With, |s, r| r.promote(s))
+            .control(shard, Control::Pinned, |s, r| r.promote(s))
     }
 
     /// Whether a shard is serving.

@@ -18,11 +18,11 @@
 //! * Invitations and the ring are whole-structure `RwLock`s: both are
 //!   read-mostly and far off the ingest hot path.
 //!
-//! Writer discipline: the only lock ever held across a shard-worker
-//! round-trip is the *member* stripe of the member being instantiated (see
+//! Writer discipline: the only lock ever held across a shard round-trip is
+//! the *member* stripe of the member being instantiated (see
 //! `Core::ensure_on_shard`), which is what makes lazy member instantiation
-//! race-free; shard workers never take directory locks, so no lock cycle can
-//! form.
+//! race-free; stepping a shard — on its worker thread or inline on a
+//! caller's — never takes directory locks, so no lock cycle can form.
 //!
 //! The directory is populated through the cluster's control plane and read
 //! through its lookup API:

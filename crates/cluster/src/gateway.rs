@@ -1,8 +1,8 @@
 //! Gateways: cheaply-cloneable concurrent ingest handles.
 //!
 //! A [`Gateway`] is the multi-gateway face of the control plane: it shares
-//! the cluster's [`Directory`](crate::Directory) and bounded shard worker
-//! queues through an `Arc`, but owns a private reply channel that decisions
+//! the cluster's [`Directory`](crate::Directory) and shard pipelines through
+//! an `Arc`, but owns a private reply channel that decisions
 //! for *its* submissions come back on. Cloning a gateway is one channel
 //! allocation, one registry slot and an `Arc` bump — hand one clone to
 //! every front-end thread and they all ingest concurrently.
@@ -282,7 +282,7 @@ impl Gateway {
 
     // ----- ingest -----------------------------------------------------------
 
-    /// Routes a request to its owning shard's bounded worker queue and
+    /// Routes a request to its owning shard's pipeline and
     /// returns its cluster-unique request id. The decision streams back to
     /// this gateway's channel; if the shard shed the request under a full
     /// queue ([`OverloadPolicy::Shed`](crate::OverloadPolicy::Shed)), the

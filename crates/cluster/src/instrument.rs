@@ -9,7 +9,8 @@
 //! * `cluster.shard.N.*` — per-shard pipeline instruments (`queue_depth` and
 //!   `queue_peak` time-series, `drain_batch` sizes, `commit_latency_ns`,
 //!   `append_latency_ns`, `snapshot_pause_ns`, `with_stall_ns`,
-//!   `dedup_hits`, `session_dedup_hits`).
+//!   `dedup_hits`, `session_dedup_hits`, and the `steps_inline` /
+//!   `steps_worker` split of who stepped each batch).
 //! * `cluster.shard.N.snapshot.*` — checkpoint instruments (`pause_us`
 //!   ingest-stall histogram covering full and differential checkpoints,
 //!   `delta_bytes` shipped by differential checkpoints, `chain_len` observed
@@ -109,7 +110,7 @@ impl ClusterTelemetry {
             .map(|_| Box::new(TraceSpan::begin(seq, kind)))
     }
 
-    /// The pipeline instruments shard `index`'s worker thread records into.
+    /// The pipeline instruments shard `index`'s steppers record into.
     pub(crate) fn worker(&self, index: usize) -> WorkerTelemetry {
         WorkerTelemetry {
             registry: Arc::clone(&self.registry),
@@ -135,6 +136,12 @@ impl ClusterTelemetry {
             with_stall: self
                 .registry
                 .histogram(&format!("cluster.shard.{index}.with_stall_ns")),
+            steps_inline: self
+                .registry
+                .counter(&format!("cluster.shard.{index}.steps_inline")),
+            steps_worker: self
+                .registry
+                .counter(&format!("cluster.shard.{index}.steps_worker")),
         }
     }
 
@@ -215,7 +222,7 @@ impl ClusterTelemetry {
     }
 }
 
-/// Pre-resolved instruments for one shard worker's drain loop, plus the
+/// Pre-resolved instruments for one shard's pipeline steps, plus the
 /// shared registry/span-log ends of the span pipeline.
 #[derive(Debug)]
 pub(crate) struct WorkerTelemetry {
@@ -229,12 +236,16 @@ pub(crate) struct WorkerTelemetry {
     /// each drain alongside `queue_depth` — the operator-facing series
     /// behind [`crate::QueueStats::peak_queued`].
     pub(crate) queue_peak: Arc<TimeSeries>,
-    /// Commands taken per wakeup (the effective batch size).
+    /// Commands applied per step (the effective batch size).
     pub(crate) drain_batch: Arc<Histogram>,
     /// Group-commit duration per non-empty batch.
     pub(crate) commit_latency: Arc<Histogram>,
-    /// Duration of each `With` control barrier closure.
+    /// Duration of each control barrier closure.
     pub(crate) with_stall: Arc<Histogram>,
+    /// Batches stepped by a caller on its own thread.
+    pub(crate) steps_inline: Arc<Counter>,
+    /// Batches stepped by the shard's worker thread.
+    pub(crate) steps_worker: Arc<Counter>,
 }
 
 impl WorkerTelemetry {
@@ -292,7 +303,7 @@ pub(crate) struct ShardMetrics {
 }
 
 /// Replication instruments of one shard's replica set, recorded by the
-/// owning worker thread (quorum pipeline) and by the routing layer (the
+/// shard's stepper (quorum pipeline) and by the routing layer (the
 /// follower-read split).
 #[derive(Debug, Clone)]
 pub(crate) struct ReplicaMetrics {

@@ -21,15 +21,19 @@
 //!   the ring uses) with atomic id counters. Routing a request takes `&self`
 //!   and only read locks, so any number of gateways route concurrently; the
 //!   old cluster-wide `&mut self` router lock is gone.
-//! * **Worker pipelines** ([`worker`], [`queue`]) — each shard's state is
-//!   owned by one persistent worker thread draining a **bounded** MPSC
-//!   command queue ([`ClusterConfig::queue_capacity`]) in group-committed
-//!   batches: one wakeup drains up to [`ClusterConfig::ingest_batch`]
-//!   commands, arbitrates them all, appends their events to the durable log
-//!   with one amortized [`EventLog::append_batch`] (and one snapshot-cadence
-//!   check), and only then releases the decisions — coalesced into one
-//!   channel send per submitting gateway. The queue is the shard's
-//!   serialization point and its backpressure valve: when it is full, the
+//! * **Shard pipelines** ([`worker`], [`queue`]) — each shard's state is one
+//!   steppable core behind a lock, fed by a **bounded** MPSC command queue
+//!   ([`ClusterConfig::queue_capacity`]) and stepped in group-committed
+//!   batches — by its worker thread, or, on a one-CPU host, by a caller
+//!   that finds it idle and steps it on its own stack, sparing the two
+//!   context switches of a hand-off. One step drains up to
+//!   [`ClusterConfig::ingest_batch`] commands, arbitrates them all, appends
+//!   their events to the durable log with one amortized
+//!   [`EventLog::append_batch`] (and one snapshot-cadence check), and only
+//!   then releases the decisions — coalesced into one channel send per
+//!   submitting gateway. The core's lock is the shard's serialization
+//!   point; the queue orders what arrives while it is held and is the
+//!   backpressure valve: when it is full, the
 //!   configured [`OverloadPolicy`] either blocks the submitter (lossless)
 //!   or sheds with [`ClusterError::Overloaded`] on the submitter's stream,
 //!   so a storm can never exhaust memory and never loses a request
@@ -74,12 +78,12 @@
 //!   suspension order — the invariants
 //!   [`dmps_floor::FloorArbiter::check_invariants`] verifies.
 //! * **Replication & follower reads** — with
-//!   [`ClusterConfig::replicas`] > 0 each shard worker ships every
+//!   [`ClusterConfig::replicas`] > 0 each shard pipeline ships every
 //!   group-committed log suffix to N follower replicas over a private
 //!   `dmps-simnet` network (latency, jitter and loss on the append path)
 //!   and releases decisions only once a **quorum** of copies — counting the
 //!   leader's own durable append — holds the batch. The quorum write is
-//!   *pipelined*: the worker keeps draining and arbitrating the next batch
+//!   *pipelined*: the next step drains and arbitrates the next batch
 //!   while the previous batch's acks are still in flight (a bounded
 //!   window), so replication costs one network round-trip of latency, not
 //!   one per batch of throughput. Failover promotes the most caught-up follower and

@@ -10,6 +10,10 @@
 //! insert, remove, push, pop or counter store: no panic can leave them
 //! half-written, so recovering the guard is sound and the routing layer
 //! keeps serving.
+//!
+//! A shard's pipeline core is deliberately *not* on that list: a panic can
+//! leave half a batch inside it, so its lock's next taker crashes the shard
+//! instead (see the `worker` module).
 
 use std::sync::{
     Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,

@@ -1,17 +1,11 @@
 //! Bounded MPSC command queues: the backpressure layer between gateways and
-//! shard workers.
-//!
-//! Before this module, every gateway→worker edge was an unbounded
-//! `std::sync::mpsc` channel: a submission allocated a queue node, and a
-//! storm of submissions could grow a shard's queue without limit until the
-//! process ran out of memory. The `bounded` queue replaces that with a
-//! pre-allocated ring buffer (a `VecDeque` that never grows past its
-//! configured capacity on the ingest path) and a configurable
-//! [`OverloadPolicy`]:
+//! shard pipelines. A pre-allocated ring buffer (a `VecDeque` that never
+//! grows past its configured capacity on the ingest path) with a
+//! configurable [`OverloadPolicy`]:
 //!
 //! * [`OverloadPolicy::Block`] — the submitting thread waits for space.
-//!   Lossless: under a storm, ingest throttles to the speed the shard
-//!   workers actually drain, and memory stays bounded.
+//!   Lossless: under a storm, ingest throttles to the speed the shards
+//!   actually drain, and memory stays bounded.
 //! * [`OverloadPolicy::Shed`] — the push fails immediately and the routing
 //!   layer answers the submission with
 //!   [`ClusterError::Overloaded`](crate::ClusterError::Overloaded) on the
@@ -27,13 +21,12 @@
 //! live handoff has to be able to freeze and export a group even while its
 //! shard's ingest queue is saturated.
 //!
-//! The receiver side supports the worker's batch-drain loop: one blocking
-//! `QueueReceiver::recv` wakes the worker, then a non-blocking
-//! `QueueReceiver::drain_into` greedily takes whatever else is queued (up
-//! to the configured batch), so one wakeup amortizes over many commands.
+//! Whoever steps the shard (see the `worker` module) takes commands with
+//! `Queue::drain_into`, a batch at a time; the worker thread parks in the
+//! non-popping `Queue::wait` until something is queued.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 use crate::poison::{lock, wait};
 
@@ -68,15 +61,6 @@ pub struct QueueStats {
     pub peak_queued: usize,
 }
 
-/// Why a push did not enqueue; the command is handed back to the caller.
-#[derive(Debug)]
-pub(crate) enum PushError<T> {
-    /// The queue is at capacity and the policy is [`OverloadPolicy::Shed`].
-    Full(T),
-    /// The receiver is gone (the worker thread exited).
-    Disconnected(T),
-}
-
 struct State<T> {
     /// Queued commands; the flag marks entries that count against
     /// `capacity` (ingest) as opposed to exempt control commands.
@@ -85,142 +69,65 @@ struct State<T> {
     bounded: usize,
     /// High-water mark of `bounded`.
     peak: usize,
-    senders: usize,
-    receiver_alive: bool,
-    /// Whether the receiver is parked on `not_empty`. Producers only pay
+    /// Set by [`Queue::close`]: the waiter exits once the queue is empty.
+    closed: bool,
+    /// Set by [`Queue::kick`]: the next [`Queue::wait`] returns even on an
+    /// empty queue.
+    kicked: bool,
+    /// Whether the consumer is parked on `not_empty`. Producers only pay
     /// the wake syscall when somebody is actually waiting — the difference
     /// between a lock-free-channel-class hot path and a futex storm.
-    receiver_waiting: bool,
+    waiting: bool,
     /// Producers parked on `not_full` (under `Block` at capacity).
     senders_waiting: usize,
 }
 
-struct Shared<T> {
+/// A bounded MPSC command queue, shared by its producers (the routing
+/// layer) and its consumers (whoever steps the shard), and closed by its
+/// owner.
+pub(crate) struct Queue<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
 }
 
-/// The producer half of a bounded command queue. Cloneable; the receiver
-/// observes disconnection when the last sender drops.
-pub(crate) struct QueueSender<T>(Arc<Shared<T>>);
-
-/// The consumer half; owned by exactly one worker thread.
-pub(crate) struct QueueReceiver<T>(Arc<Shared<T>>);
-
-// Manual impls: the queued commands themselves (which may hold closures)
-// need not be `Debug` for the queue handles to be.
-impl<T> std::fmt::Debug for QueueSender<T> {
+// Manual impl: the queued commands themselves (which may hold closures)
+// need not be `Debug` for the queue to be.
+impl<T> std::fmt::Debug for Queue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats();
-        f.debug_struct("QueueSender")
+        f.debug_struct("Queue")
             .field("capacity", &stats.capacity)
             .field("queued", &stats.queued)
             .finish()
     }
 }
 
-impl<T> std::fmt::Debug for QueueReceiver<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueueReceiver")
-            .field("capacity", &self.0.capacity)
-            .finish()
-    }
-}
-
-/// Creates a bounded MPSC queue. `capacity` bounds *ingest* entries only
-/// (control entries are exempt); `0` means effectively unbounded.
-pub(crate) fn bounded<T>(capacity: usize) -> (QueueSender<T>, QueueReceiver<T>) {
-    let capacity = if capacity == 0 { usize::MAX } else { capacity };
-    let preallocate = capacity.min(64 * 1024) + 16;
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            buf: VecDeque::with_capacity(preallocate),
-            bounded: 0,
-            peak: 0,
-            senders: 1,
-            receiver_alive: true,
-            receiver_waiting: false,
-            senders_waiting: 0,
-        }),
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-        capacity,
-    });
-    (QueueSender(shared.clone()), QueueReceiver(shared))
-}
-
-impl<T> Clone for QueueSender<T> {
-    fn clone(&self) -> Self {
-        lock(&self.0.state).senders += 1;
-        QueueSender(self.0.clone())
-    }
-}
-
-impl<T> Drop for QueueSender<T> {
-    fn drop(&mut self) {
-        let mut state = lock(&self.0.state);
-        state.senders -= 1;
-        if state.senders == 0 {
-            let wake = state.receiver_waiting;
-            drop(state);
-            // Wake the receiver so it can observe the disconnect.
-            if wake {
-                self.0.not_empty.notify_all();
-            }
+impl<T> Queue<T> {
+    /// Creates a bounded queue. `capacity` bounds *ingest* entries only
+    /// (control entries are exempt); `0` means effectively unbounded.
+    pub(crate) fn new(capacity: usize) -> Self {
+        let capacity = if capacity == 0 { usize::MAX } else { capacity };
+        let preallocate = capacity.min(64 * 1024) + 16;
+        Queue {
+            state: Mutex::new(State {
+                buf: VecDeque::with_capacity(preallocate),
+                bounded: 0,
+                peak: 0,
+                closed: false,
+                kicked: false,
+                waiting: false,
+                senders_waiting: 0,
+            }),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+            capacity,
         }
     }
-}
 
-impl<T> Drop for QueueReceiver<T> {
-    fn drop(&mut self) {
-        let mut state = lock(&self.0.state);
-        state.receiver_alive = false;
-        let wake = state.senders_waiting > 0;
-        drop(state);
-        // Wake blocked producers so they can observe the disconnect.
-        if wake {
-            self.0.not_full.notify_all();
-        }
-    }
-}
-
-impl<T> QueueSender<T> {
-    /// Enqueues one ingest command under the given overload policy.
-    pub(crate) fn push(&self, value: T, policy: OverloadPolicy) -> Result<(), PushError<T>> {
-        let mut state = lock(&self.0.state);
-        while state.bounded >= self.0.capacity {
-            if !state.receiver_alive {
-                return Err(PushError::Disconnected(value));
-            }
-            match policy {
-                OverloadPolicy::Shed => return Err(PushError::Full(value)),
-                OverloadPolicy::Block => {
-                    // The queue is full, so the receiver cannot be parked on
-                    // `not_empty`; no wake is needed before waiting.
-                    state.senders_waiting += 1;
-                    state = wait(&self.0.not_full, state);
-                    state.senders_waiting -= 1;
-                }
-            }
-        }
-        if !state.receiver_alive {
-            return Err(PushError::Disconnected(value));
-        }
-        state.buf.push_back((value, true));
-        state.bounded += 1;
-        state.peak = state.peak.max(state.bounded);
-        let wake = state.receiver_waiting;
-        drop(state);
-        if wake {
-            self.0.not_empty.notify_one();
-        }
-        Ok(())
-    }
-
-    /// Enqueues a run of ingest commands with one lock acquisition (the
-    /// "one queue reservation per shard" half of vectored submission).
+    /// Enqueues a run of ingest commands with one lock acquisition (one
+    /// queue reservation per shard for a vectored submission).
     ///
     /// Under [`OverloadPolicy::Block`] every command is eventually enqueued
     /// (the call waits for space as needed) and the result is empty; under
@@ -230,47 +137,29 @@ impl<T> QueueSender<T> {
         &self,
         values: impl IntoIterator<Item = T>,
         policy: OverloadPolicy,
-    ) -> Vec<PushError<T>> {
+    ) -> Vec<T> {
         let mut rejected = Vec::new();
-        let mut state = lock(&self.0.state);
-        let mut pushed = false;
+        let mut state = lock(&self.state);
         for value in values {
-            loop {
-                if !state.receiver_alive {
-                    rejected.push(PushError::Disconnected(value));
-                    break;
+            while state.bounded >= self.capacity && policy == OverloadPolicy::Block {
+                // Let the consumer see what is queued so far, then wait for
+                // space.
+                if state.waiting {
+                    self.not_empty.notify_one();
                 }
-                if state.bounded < self.0.capacity {
-                    state.buf.push_back((value, true));
-                    state.bounded += 1;
-                    state.peak = state.peak.max(state.bounded);
-                    pushed = true;
-                    break;
-                }
-                match policy {
-                    OverloadPolicy::Shed => {
-                        rejected.push(PushError::Full(value));
-                        break;
-                    }
-                    OverloadPolicy::Block => {
-                        // Let the worker see what is queued so far, then wait
-                        // for space. (Full queue ⇒ the receiver is not parked
-                        // on `not_empty` unless it raced in just now.)
-                        if state.receiver_waiting {
-                            self.0.not_empty.notify_one();
-                        }
-                        state.senders_waiting += 1;
-                        state = wait(&self.0.not_full, state);
-                        state.senders_waiting -= 1;
-                    }
-                }
+                state.senders_waiting += 1;
+                state = wait(&self.not_full, state);
+                state.senders_waiting -= 1;
             }
+            if state.bounded >= self.capacity {
+                rejected.push(value);
+                continue;
+            }
+            state.buf.push_back((value, true));
+            state.bounded += 1;
+            state.peak = state.peak.max(state.bounded);
         }
-        let wake = pushed && state.receiver_waiting;
-        drop(state);
-        if wake {
-            self.0.not_empty.notify_one();
-        }
+        self.wake(state);
         rejected
     }
 
@@ -279,25 +168,26 @@ impl<T> QueueSender<T> {
     /// never shed, so crash/recover/handoff/inspection cannot be starved by
     /// a data-plane storm (and a coordinator pushing while holding routing
     /// locks cannot deadlock against [`OverloadPolicy::Block`]).
-    pub(crate) fn push_control(&self, value: T) -> Result<(), PushError<T>> {
-        let mut state = lock(&self.0.state);
-        if !state.receiver_alive {
-            return Err(PushError::Disconnected(value));
-        }
+    pub(crate) fn push_control(&self, value: T) {
+        let mut state = lock(&self.state);
         state.buf.push_back((value, false));
-        let wake = state.receiver_waiting;
+        self.wake(state);
+    }
+
+    /// Wakes a parked consumer, if any, once `state` is released.
+    fn wake(&self, state: std::sync::MutexGuard<'_, State<T>>) {
+        let waiting = state.waiting;
         drop(state);
-        if wake {
-            self.0.not_empty.notify_one();
+        if waiting {
+            self.not_empty.notify_one();
         }
-        Ok(())
     }
 
     /// Occupancy statistics.
     pub(crate) fn stats(&self) -> QueueStats {
-        let state = lock(&self.0.state);
+        let state = lock(&self.state);
         QueueStats {
-            capacity: self.0.capacity,
+            capacity: self.capacity,
             queued: state.bounded,
             peak_queued: state.peak,
         }
@@ -307,96 +197,130 @@ impl<T> QueueSender<T> {
     /// occupancy (not zero — entries that are still queued were necessarily
     /// observed), and grows from there.
     pub(crate) fn reset_peak(&self) {
-        let mut state = lock(&self.0.state);
+        let mut state = lock(&self.state);
         state.peak = state.bounded;
     }
-}
 
-impl<T> QueueReceiver<T> {
-    /// Blocks until a command is available; `None` once the queue is empty
-    /// and every sender is gone.
-    pub(crate) fn recv(&self) -> Option<T> {
-        let mut state = lock(&self.0.state);
+    /// Every queued entry, ingest and control alike.
+    pub(crate) fn len(&self) -> usize {
+        lock(&self.state).buf.len()
+    }
+
+    /// Blocks until something is queued, without taking it: `true` when an
+    /// entry is waiting (or [`Queue::kick`] asked for a look), `false` once
+    /// the queue is closed and empty.
+    pub(crate) fn wait(&self) -> bool {
+        let mut state = lock(&self.state);
         loop {
-            if let Some((value, counted)) = state.buf.pop_front() {
-                if counted {
-                    state.bounded -= 1;
-                }
-                let wake = state.senders_waiting > 0;
-                drop(state);
-                if wake {
-                    self.0.not_full.notify_all();
-                }
-                return Some(value);
+            if state.kicked || !state.buf.is_empty() {
+                state.kicked = false;
+                return true;
             }
-            if state.senders == 0 {
-                return None;
+            if state.closed {
+                return false;
             }
-            state.receiver_waiting = true;
-            state = wait(&self.0.not_empty, state);
-            state.receiver_waiting = false;
+            state.waiting = true;
+            state = wait(&self.not_empty, state);
+            state.waiting = false;
         }
     }
 
-    /// Ingest commands queued right now — the worker samples this into its
-    /// queue-depth time-series on every drain.
-    pub(crate) fn depth(&self) -> usize {
-        lock(&self.0.state).bounded
+    /// Makes the next [`Queue::wait`] return even if nothing is queued.
+    pub(crate) fn kick(&self) {
+        let mut state = lock(&self.state);
+        state.kicked = true;
+        self.wake(state);
     }
 
-    /// Occupancy statistics, from the consumer side: the worker drain loop
-    /// samples `peak_queued` into its `queue_peak` time-series without
-    /// needing a sender handle.
-    pub(crate) fn stats(&self) -> QueueStats {
-        let state = lock(&self.0.state);
-        QueueStats {
-            capacity: self.0.capacity,
-            queued: state.bounded,
-            peak_queued: state.peak,
-        }
+    /// Closes the queue: once it is empty, [`Queue::wait`] returns `false`.
+    pub(crate) fn close(&self) {
+        let mut state = lock(&self.state);
+        state.closed = true;
+        self.wake(state);
     }
 
-    /// Non-blocking: moves up to `max` queued commands into `out`, returning
-    /// how many were taken. One blocking `QueueReceiver::recv` plus one
-    /// `drain_into` is the worker's batch-drain step.
-    pub(crate) fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let mut state = lock(&self.0.state);
+    /// Non-blocking: moves up to `max` queued commands into `out`, stopping
+    /// early before the first one `stop` rejects, and returns the
+    /// occupancy left behind.
+    pub(crate) fn drain_into(
+        &self,
+        out: &mut VecDeque<T>,
+        max: usize,
+        stop: impl Fn(&T) -> bool,
+    ) -> QueueStats {
+        let mut state = lock(&self.state);
         let mut taken = 0;
         while taken < max {
             let Some((value, counted)) = state.buf.pop_front() else {
                 break;
             };
+            if stop(&value) {
+                state.buf.push_front((value, counted));
+                break;
+            }
             if counted {
                 state.bounded -= 1;
             }
-            out.push(value);
+            out.push_back(value);
             taken += 1;
         }
+        let left = QueueStats {
+            capacity: self.capacity,
+            queued: state.bounded,
+            peak_queued: state.peak,
+        };
         let wake = taken > 0 && state.senders_waiting > 0;
         drop(state);
         if wake {
-            self.0.not_full.notify_all();
+            self.not_full.notify_all();
         }
-        taken
+        left
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::time::Duration;
+
+    /// One queue seen from both ends, as the worker pipeline sees it.
+    fn bounded(capacity: usize) -> (Arc<Queue<u32>>, Arc<Queue<u32>>) {
+        let queue = Arc::new(Queue::new(capacity));
+        (queue.clone(), queue)
+    }
+
+    /// The scalar push and the consumer's blocking receive.
+    trait Ends {
+        fn push(&self, value: u32, policy: OverloadPolicy) -> Result<(), u32>;
+        fn recv(&self) -> Option<u32>;
+    }
+
+    impl Ends for Queue<u32> {
+        fn push(&self, value: u32, policy: OverloadPolicy) -> Result<(), u32> {
+            self.push_many([value], policy).pop().map_or(Ok(()), Err)
+        }
+
+        fn recv(&self) -> Option<u32> {
+            let mut out = VecDeque::new();
+            while self.wait() {
+                self.drain_into(&mut out, 1, |_| false);
+                if let Some(value) = out.pop_front() {
+                    return Some(value);
+                }
+            }
+            None
+        }
+    }
 
     #[test]
     fn shed_fails_fast_at_capacity_and_tracks_peak() {
-        let (tx, rx) = bounded::<u32>(2);
+        let (tx, rx) = bounded(2);
         tx.push(1, OverloadPolicy::Shed).unwrap();
         tx.push(2, OverloadPolicy::Shed).unwrap();
         match tx.push(3, OverloadPolicy::Shed) {
-            Err(PushError::Full(3)) => {}
-            other => panic!("expected Full(3), got {other:?}"),
+            Err(3) => {}
+            other => panic!("expected Err(3), got {other:?}"),
         }
         let stats = tx.stats();
         assert_eq!(stats.capacity, 2);
@@ -412,7 +336,7 @@ mod tests {
 
     #[test]
     fn reset_peak_restarts_window_at_current_occupancy() {
-        let (tx, rx) = bounded::<u32>(4);
+        let (tx, rx) = bounded(4);
         tx.push(1, OverloadPolicy::Shed).unwrap();
         tx.push(2, OverloadPolicy::Shed).unwrap();
         tx.push(3, OverloadPolicy::Shed).unwrap();
@@ -440,7 +364,7 @@ mod tests {
 
     #[test]
     fn block_waits_for_space_instead_of_failing() {
-        let (tx, rx) = bounded::<u32>(1);
+        let (tx, rx) = bounded(1);
         tx.push(1, OverloadPolicy::Block).unwrap();
         let producer = std::thread::spawn(move || {
             // Blocks until the receiver drains the first entry.
@@ -456,71 +380,74 @@ mod tests {
 
     #[test]
     fn control_pushes_are_exempt_from_the_ingest_bound() {
-        let (tx, rx) = bounded::<u32>(1);
+        let (tx, rx) = bounded(1);
         tx.push(1, OverloadPolicy::Shed).unwrap();
         // Ingest is full, but control commands still get through.
-        tx.push_control(99).unwrap();
-        assert!(matches!(
-            tx.push(2, OverloadPolicy::Shed),
-            Err(PushError::Full(2))
-        ));
+        tx.push_control(99);
+        assert!(matches!(tx.push(2, OverloadPolicy::Shed), Err(2)));
         assert_eq!(rx.recv(), Some(1));
         assert_eq!(rx.recv(), Some(99));
     }
 
     #[test]
     fn push_many_sheds_only_the_overflow() {
-        let (tx, rx) = bounded::<u32>(2);
+        let (tx, rx) = bounded(2);
         let rejected = tx.push_many([1, 2, 3, 4], OverloadPolicy::Shed);
-        assert_eq!(rejected.len(), 2);
-        assert!(rejected
-            .iter()
-            .all(|r| matches!(r, PushError::Full(v) if *v >= 3)));
+        assert_eq!(rejected, vec![3, 4]);
         assert_eq!(rx.recv(), Some(1));
         assert_eq!(rx.recv(), Some(2));
     }
 
     #[test]
     fn drain_into_takes_at_most_max_without_blocking() {
-        let (tx, rx) = bounded::<u32>(8);
+        let (tx, rx) = bounded(8);
         for i in 0..5 {
             tx.push(i, OverloadPolicy::Block).unwrap();
         }
-        let mut out = Vec::new();
-        assert_eq!(rx.drain_into(&mut out, 3), 3);
+        let mut out = VecDeque::new();
+        assert_eq!(rx.drain_into(&mut out, 3, |_| false).queued, 2);
         assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(rx.drain_into(&mut out, 10), 2);
+        assert_eq!(rx.drain_into(&mut out, 10, |_| false).queued, 0);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert_eq!(rx.drain_into(&mut out, 10), 0, "empty queue: no blocking");
+        rx.drain_into(&mut out, 10, |_| false);
+        assert_eq!(out.len(), 5, "empty queue: no blocking");
+    }
+
+    #[test]
+    fn drain_into_stops_before_a_rejected_entry() {
+        let (tx, rx) = bounded(8);
+        tx.push_many([1, 2, 7, 3], OverloadPolicy::Block);
+        let mut out = VecDeque::new();
+        assert_eq!(rx.drain_into(&mut out, 10, |&v| v == 7).queued, 2);
+        assert_eq!(out, vec![1, 2]);
+        rx.drain_into(&mut out, 10, |&v| v == 7);
+        assert_eq!(out.len(), 2, "the rejected entry stays at the head");
+        assert_eq!(rx.recv(), Some(7));
     }
 
     #[test]
     fn receiver_observes_disconnect_after_draining() {
-        let (tx, rx) = bounded::<u32>(4);
+        let (tx, rx) = bounded(4);
         tx.push(7, OverloadPolicy::Block).unwrap();
-        drop(tx);
+        tx.close();
         assert_eq!(rx.recv(), Some(7), "buffered entries drain first");
-        assert_eq!(rx.recv(), None, "then the disconnect is visible");
+        assert_eq!(rx.recv(), None, "then the close is visible");
     }
 
     #[test]
-    fn senders_observe_a_dropped_receiver() {
-        let (tx, rx) = bounded::<u32>(1);
-        tx.push(1, OverloadPolicy::Block).unwrap();
-        drop(rx);
-        assert!(matches!(
-            tx.push(2, OverloadPolicy::Block),
-            Err(PushError::Disconnected(2))
-        ));
-        assert!(matches!(
-            tx.push_control(3),
-            Err(PushError::Disconnected(3))
-        ));
+    fn a_kick_wakes_the_waiter_once_without_an_entry() {
+        let (tx, rx) = bounded(4);
+        let waiter = std::thread::spawn(move || rx.wait());
+        std::thread::sleep(Duration::from_millis(20));
+        tx.kick();
+        assert!(waiter.join().unwrap(), "the kick ends the wait");
+        tx.close();
+        assert!(!tx.wait(), "consumed by the first wait; closed and empty");
     }
 
     #[test]
     fn capacity_zero_means_unbounded() {
-        let (tx, _rx) = bounded::<u32>(0);
+        let (tx, _rx) = bounded(0);
         for i in 0..10_000 {
             tx.push(i, OverloadPolicy::Shed).unwrap();
         }

@@ -171,7 +171,7 @@ impl ReplicaMsg {
 
 /// One follower's live state: the same arbiter/session/frozen triple a shard
 /// holds, plus the durably-received-but-unapplied tail of the shipped log.
-/// Shared with the routing layer (reads) behind a mutex; the worker thread
+/// Shared with the routing layer (reads) behind a mutex; the shard's stepper
 /// only locks it briefly while buffering a delivery — state-machine
 /// application happens in [`FollowerCore::catch_up`], on the reader's (or
 /// promoter's) dime.
@@ -457,7 +457,7 @@ impl FollowerCore {
 
 /// The leader-side handle to one shard's replica fleet: the simulated
 /// network, the per-follower send/ack cursors, and the quorum bookkeeping.
-/// Owned by the shard's worker thread; only the `FollowerCore`s inside are
+/// Owned by the shard's pipeline core; only the `FollowerCore`s inside are
 /// shared (with the read path).
 #[derive(Debug)]
 pub(crate) struct ReplicaSet {

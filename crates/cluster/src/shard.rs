@@ -597,7 +597,7 @@ impl<T> DedupWindow<T> {
 }
 
 /// A read-only snapshot of a shard's health and counters, cheap enough to
-/// ship out of the worker thread that owns the [`Shard`].
+/// ship out of the pipeline that owns the [`Shard`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardView {
     /// The shard id.
@@ -967,7 +967,7 @@ impl Shard {
 
     /// Installs the storage-side telemetry bundle (append latency, snapshot
     /// pauses, dedup hit counters). Called once by the cluster wiring before
-    /// the shard moves onto its worker thread.
+    /// the shard moves into its pipeline.
     pub(crate) fn set_metrics(&mut self, metrics: ShardMetrics) {
         self.metrics = Some(metrics);
     }

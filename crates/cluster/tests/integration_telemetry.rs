@@ -2,11 +2,12 @@
 //! spans, the cluster-wide metric namespace, dedup/replay counters, and
 //! windowed queue peaks.
 
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use dmps_cluster::telemetry::Stage;
 use dmps_cluster::{
-    Cluster, ClusterConfig, GlobalGroupId, GlobalMemberId, GlobalRequest, SessionOp,
+    Cluster, ClusterConfig, GlobalGroupId, GlobalMemberId, GlobalRequest, SessionOp, ShardId,
 };
 use dmps_floor::{FcmMode, Member, Role};
 
@@ -36,6 +37,27 @@ fn wait_for_spans(cluster: &Cluster, at_least: usize) -> Vec<dmps_cluster::telem
         }
         std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// Runs `submit` while another thread holds `shard` inside an inspection
+/// closure, so whatever it submits to that shard waits in the queue — a
+/// backlog made on purpose rather than left to thread scheduling (an idle
+/// shard may be stepped by the submitting thread itself, leaving nothing
+/// queued).
+fn with_shard_held(cluster: &Cluster, shard: ShardId, submit: impl FnOnce()) {
+    let (held, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    std::thread::scope(|scope| {
+        let (h, r) = (held.clone(), release.clone());
+        scope.spawn(move || {
+            cluster.inspect_shard(shard, move |_| {
+                h.wait();
+                r.wait();
+            })
+        });
+        held.wait();
+        submit();
+        release.wait();
+    });
 }
 
 #[test]
@@ -221,7 +243,9 @@ fn fault_counters_surface_in_the_stable_metrics_namespace() {
 fn reset_queue_peak_gives_windowed_peaks() {
     let (cluster, group, member) = traced_cluster(0);
     let shard = cluster.placement(group).unwrap().shard;
-    cluster.submit(GlobalRequest::speak(group, member)).unwrap();
+    with_shard_held(&cluster, shard, || {
+        cluster.submit(GlobalRequest::speak(group, member)).unwrap();
+    });
     cluster.collect_decisions(1).unwrap();
     assert!(
         cluster.queue_stats(shard).peak_queued >= 1,
@@ -232,9 +256,11 @@ fn reset_queue_peak_gives_windowed_peaks() {
     // new window's high-water mark.
     cluster.reset_queue_peak(shard);
     assert_eq!(cluster.queue_stats(shard).peak_queued, 0);
-    cluster
-        .submit(GlobalRequest::release_floor(group, member))
-        .unwrap();
+    with_shard_held(&cluster, shard, || {
+        cluster
+            .submit(GlobalRequest::release_floor(group, member))
+            .unwrap();
+    });
     cluster.collect_decisions(1).unwrap();
     assert!(cluster.queue_stats(shard).peak_queued >= 1);
 }
@@ -245,12 +271,14 @@ fn queue_peak_series_keeps_history_across_window_resets() {
 
     let (cluster, group, member) = traced_cluster(0);
     let shard = cluster.placement(group).unwrap().shard;
-    for _ in 0..8 {
-        cluster.submit(GlobalRequest::speak(group, member)).unwrap();
-        cluster
-            .submit(GlobalRequest::release_floor(group, member))
-            .unwrap();
-    }
+    with_shard_held(&cluster, shard, || {
+        for _ in 0..8 {
+            cluster.submit(GlobalRequest::speak(group, member)).unwrap();
+            cluster
+                .submit(GlobalRequest::release_floor(group, member))
+                .unwrap();
+        }
+    });
     cluster.collect_decisions(16).unwrap();
 
     let series = match cluster
@@ -276,12 +304,14 @@ fn queue_peak_series_keeps_history_across_window_resets() {
 
     // Traffic in the new window raises the windowed peak again and keeps
     // appending to the same series.
-    for _ in 0..8 {
-        cluster.submit(GlobalRequest::speak(group, member)).unwrap();
-        cluster
-            .submit(GlobalRequest::release_floor(group, member))
-            .unwrap();
-    }
+    with_shard_held(&cluster, shard, || {
+        for _ in 0..8 {
+            cluster.submit(GlobalRequest::speak(group, member)).unwrap();
+            cluster
+                .submit(GlobalRequest::release_floor(group, member))
+                .unwrap();
+        }
+    });
     cluster.collect_decisions(16).unwrap();
     assert!(cluster.queue_stats(shard).peak_queued >= 1);
     assert!(

@@ -18,6 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 use dmps_cluster::{
     Cluster, ClusterConfig, ClusterError, GlobalGroupId, GlobalMemberId, GlobalRequest, Op,
@@ -66,22 +67,40 @@ fn build(
 
 #[test]
 fn shed_storm_is_bounded_loud_and_exactly_once() {
-    // Queue capacity 8 with batched submissions of 64: every burst
-    // overflows, so sheds are guaranteed, and every shed must surface as an
-    // `Overloaded` decision that a same-id resubmission heals exactly once.
+    // Queue capacity 8 with batched submissions of 64, submitted while
+    // every shard is held inside an inspection closure: the first wave
+    // cannot be stepped by its submitters or drained by the workers, every
+    // burst overflows, so sheds are guaranteed, and every shed must surface
+    // as an `Overloaded` decision that a same-id resubmission heals exactly
+    // once.
     const CAPACITY: usize = 8;
     const ROUNDS: usize = 12;
     let (cluster, gids, rosters) = build(4, 16, CAPACITY, OverloadPolicy::Shed);
     let total_sheds = AtomicU64::new(0);
     let session_sheds = AtomicU64::new(0);
     let chats_delivered = AtomicU64::new(0);
+    let shards = cluster.shard_count();
+    let held = Arc::new(Barrier::new(shards + 1));
+    let release = Arc::new(Barrier::new(shards + 1));
+    let submitted = Barrier::new(GATEWAYS + 1);
     std::thread::scope(|scope| {
+        for s in 0..shards {
+            let (held, release, cluster) = (held.clone(), release.clone(), &cluster);
+            scope.spawn(move || {
+                cluster.inspect_shard(ShardId(s), move |_| {
+                    held.wait();
+                    release.wait();
+                })
+            });
+        }
+        held.wait();
         for thread in 0..GATEWAYS {
             let gateway = cluster.gateway();
             let gids = &gids;
             let rosters = &rosters;
             let (total_sheds, session_sheds) = (&total_sheds, &session_sheds);
             let chats_delivered = &chats_delivered;
+            let submitted = &submitted;
             scope.spawn(move || {
                 // The storm wave: speak + chat + release per group per
                 // round, all submitted in oversized mixed-kind batches. Every
@@ -108,6 +127,7 @@ fn shed_storm_is_bounded_loud_and_exactly_once() {
                         assert!(fresh, "request ids are unique");
                     }
                 }
+                submitted.wait();
                 // Drain: every id resolves to exactly one applied decision;
                 // sheds are answered (loudly) and retried under the same id.
                 let mut applied: BTreeMap<u64, bool> = BTreeMap::new();
@@ -186,6 +206,9 @@ fn shed_storm_is_bounded_loud_and_exactly_once() {
                 }
             });
         }
+        // The whole wave is in: let the shards go.
+        submitted.wait();
+        release.wait();
     });
     assert!(
         session_sheds.load(Ordering::Relaxed) > 0,
