@@ -1794,19 +1794,12 @@ impl Shard {
         for (i, delta) in self.deltas.iter().enumerate() {
             delta
                 .fold(&mut arbiter, &mut session, &mut frozen)
-                .map_err(|e| ClusterError::Corrupt {
-                    shard: self.id,
-                    what: format!("snapshot delta {i} does not fold: {e}"),
-                })?;
+                .map_err(|e| self.corrupt(format!("snapshot delta {i} does not fold: {e}")))?;
             from_seq = delta.applied_seq();
         }
         for event in self.log.events_from(from_seq) {
-            replay_event(&mut arbiter, &mut session, &mut frozen, event).map_err(|e| {
-                ClusterError::Corrupt {
-                    shard: self.id,
-                    what: format!("logged event does not replay: {e}"),
-                }
-            })?;
+            replay_event(&mut arbiter, &mut session, &mut frozen, event)
+                .map_err(|e| self.corrupt(format!("logged event does not replay: {e}")))?;
         }
         self.adopt(arbiter, session, frozen);
         self.reconcile_orphans(self.log.next_seq());
@@ -2204,8 +2197,11 @@ mod tests {
 
     #[test]
     fn delta_suffix_past_the_restorer_keeps_recovery_quarantined() {
+        let telemetry = crate::instrument::ClusterTelemetry::new(0);
+        let failures = telemetry.shard(1).checksum_failures;
         for from in [2, u64::MAX] {
             let mut shard = Shard::new(ShardId(1), 0, 64);
+            shard.set_metrics(telemetry.shard(1));
             scripted(&mut shard, 4);
             scripted_more(&mut shard, 1);
             shard.take_snapshot();
@@ -2217,12 +2213,18 @@ mod tests {
             shard.deltas[0].sessions[0].1 .0 = from;
             shard.delta_crcs[0] = dmps_wire::crc32_of(&shard.deltas[0]);
             shard.crash();
+            let before = failures.get();
             let err = shard.recover().unwrap_err();
             assert!(
                 matches!(&err, ClusterError::Corrupt { what, .. } if what.contains("does not fold")),
                 "got {err:?}"
             );
             assert!(!shard.is_active(), "no silent gap: the shard stays failed");
+            // Every refused recovery is one detected corruption on the
+            // shard's telemetry, a retry included.
+            assert_eq!(failures.get(), before + 1);
+            assert!(shard.recover().is_err());
+            assert_eq!(failures.get(), before + 2);
         }
     }
 

@@ -8,9 +8,18 @@
 //! The format is a flat token stream: integers in decimal, floats as exact
 //! IEEE-754 bit patterns in hex, strings length-prefixed (`len:bytes`), all
 //! separated by single spaces. It is deliberately boring — deterministic,
-//! byte-exact round-trips (including every `f64`), trivially diffable in
-//! test failures, and fast enough that snapshot encode/decode never shows up
-//! in shard-failover profiles.
+//! byte-exact round-trips (including every `f64`) and trivially diffable in
+//! test failures.
+//!
+//! Decoding is what a crashed shard waits on: recovery parses its whole
+//! checkpoint base. So the reader takes integer tokens and string length
+//! prefixes straight off the bytes, and only anything else (a sign,
+//! overflow, a malformed token) goes through `str::find` + `str::parse`.
+//! On one 1 500-group `churn_sat` shard base (median of 200 decodes on one
+//! pinned CPU of a shared 2-vCPU VM) that took the arbiter (277 KB) from
+//! 4.1 to 1.9 ms and the session store (612 KB) from 2.5 to 1.0 ms, and the
+//! slicing-by-16 CRC checks both in 0.51 ms instead of slicing-by-8's
+//! 0.67 ms.
 //!
 //! # Example
 //!
@@ -272,8 +281,44 @@ impl<'a> Reader<'a> {
         Ok(tok)
     }
 
+    /// Plain ASCII digits read straight off the bytes after the optional
+    /// separator: their value and the position just past them, without
+    /// moving the cursor. `None` when there is no digit or the value
+    /// overflows.
+    ///
+    /// This is the fast path of integer tokens and length prefixes. Anything
+    /// it does not take (a sign, an empty token, overflow, a bad terminator
+    /// or char boundary) goes to the general path from the untouched cursor,
+    /// so both accept and reject exactly the same inputs.
+    fn digits(&self) -> Option<(u64, usize)> {
+        let bytes = self.input.as_bytes();
+        let start = self.pos + usize::from(bytes.get(self.pos) == Some(&b' '));
+        let mut v: u64 = 0;
+        let mut end = start;
+        for &b in bytes.get(start..)? {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
+            }
+            v = v.checked_mul(10)?.checked_add(u64::from(digit))?;
+            end += 1;
+        }
+        (end > start).then_some((v, end))
+    }
+
+    /// [`Reader::digits`] that make up a whole token (a space or the input's
+    /// end follows).
+    fn digit_token(&self) -> Option<(u64, usize)> {
+        let (v, end) = self.digits()?;
+        matches!(self.input.as_bytes().get(end), None | Some(b' ')).then_some((v, end))
+    }
+
     /// Reads an unsigned integer.
     pub fn u64(&mut self) -> Result<u64> {
+        if let Some((v, end)) = self.digit_token() {
+            self.pos = end;
+            return Ok(v);
+        }
         let tok = self.token()?;
         tok.parse().map_err(|_| WireError::BadToken {
             expected: "u64",
@@ -283,6 +328,12 @@ impl<'a> Reader<'a> {
 
     /// Reads a signed integer.
     pub fn i64(&mut self) -> Result<i64> {
+        if let Some((v, end)) = self.digit_token() {
+            if let Ok(v) = i64::try_from(v) {
+                self.pos = end;
+                return Ok(v);
+            }
+        }
         let tok = self.token()?;
         tok.parse().map_err(|_| WireError::BadToken {
             expected: "i64",
@@ -326,6 +377,16 @@ impl<'a> Reader<'a> {
     /// form [`Reader::str`] wraps, so a decoder that builds its own owner
     /// (`String`, `Arc<str>`) copies the bytes exactly once.
     pub fn str_ref(&mut self) -> Result<&'a str> {
+        if let Some((len, colon)) = self.digits() {
+            let start = colon + 1;
+            let s = usize::try_from(len)
+                .ok()
+                .and_then(|len| self.input.get(start..start.checked_add(len)?));
+            if let (Some(b':'), Some(s)) = (self.input.as_bytes().get(colon), s) {
+                self.pos = start + s.len();
+                return Ok(s);
+            }
+        }
         self.skip_sep();
         if self.pos >= self.input.len() {
             return Err(WireError::UnexpectedEnd);
@@ -357,11 +418,12 @@ impl<'a> Reader<'a> {
 // Hand-rolled because the workspace is dependency-free; the tables are built
 // at compile time.
 
-/// Slicing-by-8 tables: `CRC32_TABLES[0]` is the classic bytewise table;
+/// Slicing-by-16 tables: `CRC32_TABLES[0]` is the classic bytewise table;
 /// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
-/// eight table lookups advance the state over eight input bytes at once.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// sixteen (or, on the tail, eight) table lookups advance the state over as
+/// many input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -378,7 +440,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -390,27 +452,36 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
+
+/// The four table lookups that fold little-endian word `w` of a run of
+/// slicing input, `zeros` bytes before the run's end: `t[zeros + 3]` takes
+/// its first byte, `t[zeros]` its last.
+fn crc32_word(t: &[[u32; 256]; 16], w: u32, zeros: usize) -> u32 {
+    t[zeros + 3][(w & 0xFF) as usize]
+        ^ t[zeros + 2][((w >> 8) & 0xFF) as usize]
+        ^ t[zeros + 1][((w >> 16) & 0xFF) as usize]
+        ^ t[zeros][(w >> 24) as usize]
+}
 
 /// Folds `bytes` into a running CRC32 state. Start from
 /// [`CRC32_INIT`] and finish with [`crc32_finish`]; or use [`crc32`] for a
 /// one-shot hash. Streaming: any split of the input gives the same state.
 pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut chunks = bytes.chunks_exact(8);
+    let word = |c: &[u8], i: usize| u32::from_le_bytes([c[i], c[i + 1], c[i + 2], c[i + 3]]);
+    let mut chunks = bytes.chunks_exact(16);
     for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ state;
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        state = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        state = crc32_word(t, word(c, 0) ^ state, 12)
+            ^ crc32_word(t, word(c, 4), 8)
+            ^ crc32_word(t, word(c, 8), 4)
+            ^ crc32_word(t, word(c, 12), 0);
     }
-    for &b in chunks.remainder() {
+    let mut tail = chunks.remainder().chunks_exact(8);
+    for c in &mut tail {
+        state = crc32_word(t, word(c, 0) ^ state, 4) ^ crc32_word(t, word(c, 4), 0);
+    }
+    for &b in tail.remainder() {
         state = (state >> 8) ^ t[0][((state ^ b as u32) & 0xFF) as usize];
     }
     state

@@ -8,6 +8,10 @@
 //! digit-formatting writer and the hashing sink must produce exactly the
 //! bytes and checksums the bytewise / `to_string()`-per-token codec did, or
 //! every stored CRC would stop verifying.
+//!
+//! And the same for the reader: its byte-level integer and length-prefix
+//! fast paths must accept and reject exactly what the token-splitting reader
+//! they sit in front of does, with the same errors and the same cursor.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,7 +21,7 @@ use dmps_cluster::{GlobalGroupId, GlobalMemberId, SessionOpKind, Shard, ShardEve
 use dmps_floor::{ArbiterEvent, FcmMode, FloorRequest, GroupId, Member, MemberId, Role};
 use dmps_wire::{
     crc32, crc32_finish, crc32_of, crc32_of_each, crc32_update, from_str, from_str_checksummed,
-    to_string, to_string_checksummed, Writer, CRC32_INIT,
+    to_string, to_string_checksummed, Reader, Wire, WireError, Writer, CRC32_INIT,
 };
 use proptest::prelude::*;
 
@@ -102,6 +106,174 @@ fn crc32_bitwise(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The token reader the byte-level fast paths front: one `find(' ')` scan
+/// and one `str::parse` per token. Kept verbatim as the reference every
+/// outcome of [`Reader`] must equal.
+struct ReferenceReader<'a> {
+    input: &'a str,
+    pos: usize,
+}
+
+impl<'a> ReferenceReader<'a> {
+    fn is_empty(&self) -> bool {
+        self.pos >= self.input.len()
+    }
+
+    fn skip_sep(&mut self) {
+        if self.pos < self.input.len() && self.input.as_bytes()[self.pos] == b' ' {
+            self.pos += 1;
+        }
+    }
+
+    fn token(&mut self) -> Result<&'a str, WireError> {
+        self.skip_sep();
+        if self.pos >= self.input.len() {
+            return Err(WireError::UnexpectedEnd);
+        }
+        let rest = &self.input[self.pos..];
+        let end = rest.find(' ').unwrap_or(rest.len());
+        let tok = &rest[..end];
+        self.pos += end;
+        Ok(tok)
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        let tok = self.token()?;
+        tok.parse().map_err(|_| WireError::BadToken {
+            expected: "u64",
+            token: tok.chars().take(32).collect(),
+        })
+    }
+
+    fn i64(&mut self) -> Result<i64, WireError> {
+        let tok = self.token()?;
+        tok.parse().map_err(|_| WireError::BadToken {
+            expected: "i64",
+            token: tok.chars().take(32).collect(),
+        })
+    }
+
+    fn str_ref(&mut self) -> Result<&'a str, WireError> {
+        self.skip_sep();
+        if self.pos >= self.input.len() {
+            return Err(WireError::UnexpectedEnd);
+        }
+        let rest = &self.input[self.pos..];
+        let colon = rest.find(':').ok_or(WireError::BadToken {
+            expected: "string length prefix",
+            token: rest.chars().take(32).collect(),
+        })?;
+        let len: usize = rest[..colon].parse().map_err(|_| WireError::BadToken {
+            expected: "string length",
+            token: rest[..colon].chars().take(32).collect(),
+        })?;
+        let start = colon + 1;
+        let end = start.checked_add(len).ok_or(WireError::UnexpectedEnd)?;
+        if rest.len() < end {
+            return Err(WireError::UnexpectedEnd);
+        }
+        let s = rest.get(start..end).ok_or(WireError::UnexpectedEnd)?;
+        self.pos += end;
+        Ok(s)
+    }
+}
+
+/// The reads the differential property draws from: `u8`, `usize`, `u64`,
+/// `i64`, `String`, `Arc<str>`.
+const READ_KINDS: usize = 6;
+
+/// One read through the real codec, its value rendered for comparison.
+fn read_fast(r: &mut Reader<'_>, kind: usize) -> Result<String, WireError> {
+    match kind {
+        0 => u8::decode(r).map(|v| v.to_string()),
+        1 => usize::decode(r).map(|v| v.to_string()),
+        2 => u64::decode(r).map(|v| v.to_string()),
+        3 => i64::decode(r).map(|v| v.to_string()),
+        4 => String::decode(r),
+        _ => Arc::<str>::decode(r).map(|s| s.to_string()),
+    }
+}
+
+/// The same read through the reference, narrowing as the codec's
+/// `u8`/`usize` impls do.
+fn read_reference(r: &mut ReferenceReader<'_>, kind: usize) -> Result<String, WireError> {
+    let narrow = |v: u64, fits: bool, expected: &'static str| {
+        if fits {
+            Ok(v.to_string())
+        } else {
+            Err(WireError::BadToken {
+                expected,
+                token: v.to_string(),
+            })
+        }
+    };
+    match kind {
+        0 => r
+            .u64()
+            .and_then(|v| narrow(v, u8::try_from(v).is_ok(), "u8")),
+        1 => r
+            .u64()
+            .and_then(|v| narrow(v, usize::try_from(v).is_ok(), "usize")),
+        2 => r.u64().map(|v| v.to_string()),
+        3 => r.i64().map(|v| v.to_string()),
+        _ => r.str_ref().map(str::to_string),
+    }
+}
+
+/// Runs one read sequence through both readers — continuing past errors, so
+/// the cursor an error leaves behind is compared too — and returns the
+/// codec's outcomes once every outcome and the final `is_empty` agree.
+fn differential(input: &str, kinds: &[usize]) -> Result<Vec<Result<String, WireError>>, String> {
+    let mut fast = Reader::new(input);
+    let mut reference = ReferenceReader { input, pos: 0 };
+    let mut outcomes = Vec::with_capacity(kinds.len());
+    for (i, &kind) in kinds.iter().enumerate() {
+        let got = read_fast(&mut fast, kind);
+        let want = read_reference(&mut reference, kind);
+        if got != want {
+            return Err(format!(
+                "{input:?}: read {i} (kind {kind}) gave {got:?}, the reference {want:?}"
+            ));
+        }
+        outcomes.push(got);
+    }
+    if fast.is_empty() != reference.is_empty() {
+        return Err(format!("{input:?}: readers disagree on is_empty"));
+    }
+    Ok(outcomes)
+}
+
+/// Input fragments biased toward the integer and length-prefix edges: signs,
+/// leading zeros, the `u64`/`i64` limits and one past them, separators, and
+/// multi-byte codepoints a length prefix can split.
+fn arb_fragments() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..20, 0..14).prop_map(|picks| {
+        const FRAGMENTS: [&str; 20] = [
+            "0",
+            "1",
+            "7",
+            " ",
+            " ",
+            ":",
+            "+",
+            "-",
+            "00",
+            "255",
+            "256",
+            "18446744073709551615",
+            "18446744073709551616",
+            "9223372036854775807",
+            "9223372036854775808",
+            "é",
+            "🦀",
+            "x",
+            "2:",
+            "1:",
+        ];
+        picks.into_iter().map(|i| FRAGMENTS[i]).collect()
+    })
+}
+
 fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..=255, 0..600)
 }
@@ -168,6 +340,22 @@ proptest! {
         state = crc32_update(state, &bytes[a..b]);
         state = crc32_update(state, &bytes[b..]);
         prop_assert_eq!(crc32_finish(state), expected);
+    }
+
+    /// Every length through the 16 → 8 → 1 remainder cascade, at every
+    /// start alignment within a 16-byte block, hashes as the bitwise
+    /// reference does.
+    #[test]
+    fn crc32_kernel_equals_the_bitwise_reference_at_every_tail(seed in 0u64..u64::MAX) {
+        let bytes: Vec<u8> = (0..96u64)
+            .map(|i| (seed.rotate_left(i as u32) ^ i.wrapping_mul(0x9E37_79B9)) as u8)
+            .collect();
+        for start in 0..16 {
+            for len in 0..=80 {
+                let slice = &bytes[start..start + len];
+                prop_assert_eq!(crc32(slice), crc32_bitwise(slice), "start {} len {}", start, len);
+            }
+        }
     }
 
     /// Integer, float and string tokens encode byte-identically to the
@@ -366,4 +554,127 @@ fn every_truncation_point_is_total() {
             let _ = from_str::<Deep>(&encoded[..end]);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The fast reader equals the reference reader on valid, truncated,
+    /// bit-flipped and arbitrary inputs, for arbitrary read sequences: same
+    /// value or same error (with its fields) at every step, and the same
+    /// `is_empty` at the end.
+    #[test]
+    fn reader_fast_paths_equal_the_reference_reader(
+        values in proptest::collection::vec(
+            (0usize..READ_KINDS, 0u64..u64::MAX, 0u32..64, arb_string()),
+            0..10,
+        ),
+        reads in proptest::collection::vec(0usize..READ_KINDS, 0..12),
+        fragments in arb_fragments(),
+        mode in 0usize..4,
+        at in 0usize..4096,
+        bit in 0u8..8,
+    ) {
+        let mut w = Writer::new();
+        for (kind, raw, shift, s) in &values {
+            match kind {
+                0..=2 => w.u64(raw >> shift),
+                3 => w.i64(*raw as i64 >> shift),
+                _ => w.str(s),
+            }
+        }
+        let encoded = w.finish();
+        let input = match mode {
+            0 => encoded,
+            1 => {
+                let mut end = at % (encoded.len() + 1);
+                while !encoded.is_char_boundary(end) {
+                    end -= 1;
+                }
+                encoded[..end].to_string()
+            }
+            2 => flip_bit(&encoded, at, bit).unwrap_or_default(),
+            _ => fragments,
+        };
+        // The reads the encoding was written for, then the drawn ones.
+        let written: Vec<usize> = values.iter().map(|v| v.0).collect();
+        for kinds in [&written, &reads] {
+            if let Err(diff) = differential(&input, kinds) {
+                return Err(TestCaseError(diff));
+            }
+        }
+    }
+}
+
+/// The reader's edge cases by name, each against the reference, with the
+/// outcome pinned where it is the point of the case.
+#[test]
+fn reader_edge_cases_equal_the_reference_reader() {
+    let (u8_, usize_, u64_, i64_, string, arc) = (0, 1, 2, 3, 4, 5);
+    let check = |input: &str, kinds: &[usize]| differential(input, kinds).unwrap();
+    let bad = |expected: &'static str, token: &str| {
+        Err(WireError::BadToken {
+            expected,
+            token: token.to_string(),
+        })
+    };
+
+    // Two separators: the empty token between them is refused. A fallback
+    // that re-skipped the separator the fast path already skipped would
+    // read `2` here.
+    let out = check("1  2", &[u64_, u64_, u64_]);
+    assert_eq!(out[1], bad("u64", ""));
+    assert_eq!(out[2], Ok("2".to_string()));
+    check("1  2", &[i64_, i64_, u8_]);
+    check("1  2", &[usize_, string, arc]);
+
+    // A leading `+` parses as `str::parse` allows; leading zeros too.
+    assert_eq!(check("+5", &[u64_])[0], Ok("5".to_string()));
+    check("+5 +7", &[i64_, usize_]);
+    check("+ -", &[u64_, i64_]);
+    check("+3:abc", &[string]);
+    assert_eq!(
+        check("007 000", &[u64_, i64_]),
+        [Ok("7".into()), Ok("0".into())]
+    );
+    check("0003:abc", &[arc]);
+
+    // The u64 limit and one past it.
+    let max = u64::MAX.to_string();
+    assert_eq!(check(&max, &[u64_])[0], Ok(max.clone()));
+    check(&max, &[i64_]);
+    check(&max, &[u8_]);
+    assert_eq!(
+        check("18446744073709551616", &[u64_])[0],
+        bad("u64", "18446744073709551616")
+    );
+    check("18446744073709551616 1", &[usize_, u64_]);
+
+    // The i64 limits, and a negative zero.
+    let min = i64::MIN.to_string();
+    assert_eq!(check(&min, &[i64_])[0], Ok(min.clone()));
+    check(&min, &[u64_]);
+    check(&i64::MAX.to_string(), &[i64_]);
+    check("9223372036854775808", &[i64_]);
+    check("-9223372036854775809", &[i64_]);
+    assert_eq!(check("-0", &[i64_])[0], Ok("0".to_string()));
+    check("-0", &[u64_]);
+
+    // A length prefix that ends inside a codepoint.
+    assert_eq!(check("1:é", &[string])[0], Err(WireError::UnexpectedEnd));
+    check("2:🦀 1", &[arc, u64_]);
+    check("3:a🦀", &[string, u64_]);
+
+    // A length prefix past the end, and one of usize::MAX.
+    assert_eq!(check("5:ab", &[string])[0], Err(WireError::UnexpectedEnd));
+    let huge = format!("{}:abc", usize::MAX);
+    assert_eq!(check(&huge, &[arc])[0], Err(WireError::UnexpectedEnd));
+    check(&format!("{}:abc", u64::MAX as u128 + 1), &[string, u64_]);
+
+    // Ends and empties.
+    check("", &[u64_, string]);
+    check(" ", &[i64_, arc]);
+    check("7 ", &[u64_, u64_]);
+    check("0: 0:", &[string, arc, string]);
+    check("3 :abc", &[string]);
 }
