@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::channel;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use dmps_floor::arbiter::ArbiterStats;
 use dmps_floor::snapshot::EventOutcome;
@@ -30,18 +30,18 @@ use dmps_floor::{
     InvitationStatus, MemberId, RequestKind, Resource,
 };
 
-use crate::directory::{ClusterInvitation, Directory, GroupPlacement, MemberRecord};
+use crate::directory::{entry_mut, ClusterInvitation, Directory, GroupPlacement, MemberRecord};
 use crate::error::{ClusterError, Result};
-use crate::gateway::Gateway;
+use crate::gateway::{Gateway, Mailbox};
 use crate::instrument::ClusterTelemetry;
 use crate::op::{LocalOp, Op, Reply};
-use crate::poison::{read, write};
+use crate::poison::{lock, read, write};
 use crate::queue::OverloadPolicy;
 use crate::replication::{lock_core, FollowerCore, ReplicaSet};
 use crate::ring::{HashRing, ShardId};
 use crate::session::{GroupSession, SessionEvent, SessionOutcome};
 use crate::shard::{CorruptionTarget, GlobalGroupId, GlobalMemberId, Shard, ShardView};
-use crate::worker::{Control, ReplyRegistry, ReplyTo, ShardCommand, ShardWorker};
+use crate::worker::{Control, ReplyTo, ShardCommand, ShardWorker};
 use dmps_telemetry::Stage as TraceStage;
 use dmps_telemetry::{MetricsRegistry, TraceSpan};
 
@@ -398,9 +398,9 @@ fn queue_position_in(
 pub(crate) struct Core {
     config: ClusterConfig,
     pub(crate) directory: Directory,
-    /// Gateway reply channels, registered once per gateway; commands carry a
-    /// small handle instead of a cloned `Sender`. Shared with every shard.
-    pub(crate) registry: Arc<ReplyRegistry>,
+    /// Every gateway's mailbox, at its telemetry index (`gateway.N.*`). A
+    /// slot is reused once its gateway and in-flight commands are gone.
+    mailboxes: Mutex<Vec<Weak<Mailbox>>>,
     workers: RwLock<Vec<ShardWorker>>,
     /// Whether callers step an idle shard on their own thread: when the
     /// process can run on one CPU (the affinity mask counts), observed once
@@ -437,7 +437,7 @@ impl Core {
         let mut core = Core {
             config,
             directory: Directory::new(HashRing::new(config.shards, config.vnodes)),
-            registry: Arc::default(),
+            mailboxes: Mutex::default(),
             workers: RwLock::default(),
             step_inline,
             parked: RwLock::default(),
@@ -455,8 +455,7 @@ impl Core {
         let mut shard = Shard::new(id, config.snapshot_every, config.dedup_window);
         shard.set_snapshot_policy(config.snapshot_every_bytes, config.snapshot_chain);
         shard.set_metrics(self.telemetry.shard(id.0));
-        let registry = self.registry.clone();
-        ShardWorker::spawn(shard, config, &self.telemetry, registry, self.step_inline)
+        ShardWorker::spawn(shard, config, &self.telemetry, self.step_inline)
     }
 
     /// Runs `f` with `shard`'s worker handle. Panics for an out-of-range id
@@ -467,11 +466,24 @@ impl Core {
         f(worker.unwrap_or_else(|| panic!("shard {shard} out of range")))
     }
 
+    /// A new gateway's mailbox, at the lowest free telemetry index.
+    pub(crate) fn new_mailbox(&self) -> Arc<Mailbox> {
+        let mut mailboxes = lock(&self.mailboxes);
+        let free = mailboxes.iter().position(|m| m.strong_count() == 0);
+        let index = free.unwrap_or_else(|| {
+            mailboxes.push(Weak::new());
+            mailboxes.len() - 1
+        });
+        let mailbox = Arc::new(Mailbox::new(index as u32));
+        mailboxes[index] = Arc::downgrade(&mailbox);
+        mailbox
+    }
+
     /// Answers a submission on its reply route without involving a shard —
     /// the path for routing errors and shed submissions.
     fn answer(&self, to: &ReplyTo, reply: Reply) {
         match to {
-            ReplyTo::Gateway(handle) => self.registry.send(*handle, vec![reply]),
+            ReplyTo::Gateway(mailbox) => mailbox.deliver([reply]),
             ReplyTo::Direct(tx) => {
                 let _ = tx.send(reply);
             }
@@ -632,8 +644,8 @@ impl Core {
     pub(crate) fn submit_as(&self, seq: u64, op: Op, reply: ReplyTo) -> Result<()> {
         // Sampled 1-in-N: almost every submission skips straight past this.
         let mut span = self.telemetry.begin_span(seq, op.label());
-        if let (Some(span), ReplyTo::Gateway(handle)) = (&mut span, &reply) {
-            span.set_gateway(handle.index());
+        if let (Some(span), ReplyTo::Gateway(mailbox)) = (&mut span, &reply) {
+            span.set_gateway(mailbox.index());
         }
         let group = op.group();
         loop {
@@ -824,8 +836,8 @@ impl Core {
                             .telemetry
                             .begin_span_in_run(trace_run, seq - start_seq, seq, label)
                             .map(|mut span| {
-                                if let ReplyTo::Gateway(handle) = reply {
-                                    span.set_gateway(handle.index());
+                                if let ReplyTo::Gateway(mailbox) = reply {
+                                    span.set_gateway(mailbox.index());
                                 }
                                 span.stamp(TraceStage::Enqueued);
                                 span
@@ -912,10 +924,9 @@ impl Core {
     ) -> Result<MemberId> {
         let stripe = self.directory.member_stripe(member);
         let mut guard = write(stripe);
-        let record: &mut MemberRecord = guard
-            .get_mut(&member)
-            .ok_or(ClusterError::UnknownMember(member))?;
-        if let Some(&local) = record.locals.get(&shard) {
+        let record: &mut MemberRecord =
+            entry_mut(&mut guard, member.0).ok_or(ClusterError::UnknownMember(member))?;
+        if let Some(local) = record.local(shard) {
             drop(guard);
             self.with_shard(shard, move |s| {
                 s.apply(ArbiterEvent::JoinGroup {
@@ -939,7 +950,7 @@ impl Core {
         // has its reverse mapping" must hold at every instant a concurrent
         // `check_invariants` can observe.
         self.directory.record_local(shard, local, member);
-        record.locals.insert(shard, local);
+        record.set_local(shard, local);
         drop(guard);
         Ok(local)
     }

@@ -7,11 +7,17 @@
 //! floor request to its owning shard — takes `&self` and contends only on a
 //! striped read lock:
 //!
-//! * Placement and membership maps are split into `STRIPES` stripes, each
-//!   behind its own [`RwLock`]; a key's stripe is picked by the same
-//!   splitmix64 hash the ring uses, so concurrent gateways routing different
-//!   groups almost never touch the same lock, and routing itself only ever
-//!   takes *read* locks.
+//! * Placements and member records live in dense tables split into
+//!   `STRIPES` stripes, each behind its own [`RwLock`]. The ids are the
+//!   directory's own counters, so an id's stripe is `id % STRIPES` and its
+//!   slot `id / STRIPES`: a lookup is two index operations under one read
+//!   lock, not a tree walk, and consecutive ids land on different stripes,
+//!   so concurrent gateways routing different groups almost never touch the
+//!   same lock. A member's shard-local ids are a vector indexed by shard.
+//!   Routing itself only ever takes *read* locks.
+//! * The reverse (shard, local id) → global id map, off the ingest path, is
+//!   split into `STRIPES` ordered maps, picked by the splitmix64 hash the
+//!   ring uses.
 //! * Id allocation is a handful of atomics, so `register_member`,
 //!   `create_group` and request-id allocation never serialize behind a map
 //!   lock.
@@ -53,8 +59,8 @@ use crate::poison::{read, write};
 use crate::ring::{mix64, HashRing, ShardId};
 use crate::shard::{GlobalGroupId, GlobalMemberId};
 
-/// Number of lock stripes for the placement/membership maps. A small power of
-/// two well above any realistic gateway count keeps write collisions rare
+/// Number of lock stripes for the placement/membership tables. A small power
+/// of two well above any realistic gateway count keeps write collisions rare
 /// without bloating the struct.
 pub(crate) const STRIPES: usize = 16;
 
@@ -75,7 +81,86 @@ pub struct GroupPlacement {
 #[derive(Debug, Clone)]
 pub(crate) struct MemberRecord {
     pub(crate) template: Member,
-    pub(crate) locals: BTreeMap<ShardId, MemberId>,
+    /// Indexed by shard; `None` where the member is not instantiated.
+    locals: Vec<Option<MemberId>>,
+}
+
+impl MemberRecord {
+    /// The member's dense id on `shard`, if instantiated there.
+    pub(crate) fn local(&self, shard: ShardId) -> Option<MemberId> {
+        self.locals.get(shard.0).copied().flatten()
+    }
+
+    /// Records the member's dense id on `shard`.
+    pub(crate) fn set_local(&mut self, shard: ShardId, local: MemberId) {
+        put(&mut self.locals, shard.0, local);
+    }
+}
+
+/// Stores `value` at `index`, growing `slots` with empty ones as needed.
+fn put<T>(slots: &mut Vec<Option<T>>, index: usize, value: T) {
+    if slots.len() <= index {
+        slots.resize_with(index + 1, || None);
+    }
+    slots[index] = Some(value);
+}
+
+/// One stripe of a dense [`Table`].
+pub(crate) type Stripe<T> = RwLock<Vec<Option<T>>>;
+
+/// A dense table keyed by an id from one of the directory's counters: the
+/// id's stripe is `id % STRIPES`, its slot in the stripe `id / STRIPES`.
+#[derive(Debug)]
+struct Table<T> {
+    stripes: Vec<Stripe<T>>,
+}
+
+/// An id's slot in its stripe.
+fn slot(id: u64) -> usize {
+    (id / STRIPES as u64) as usize
+}
+
+/// The entry in an id's stripe, if present.
+pub(crate) fn entry<T>(stripe: &[Option<T>], id: u64) -> Option<&T> {
+    stripe.get(slot(id))?.as_ref()
+}
+
+/// The entry in an id's write-locked stripe, if present.
+pub(crate) fn entry_mut<T>(stripe: &mut [Option<T>], id: u64) -> Option<&mut T> {
+    stripe.get_mut(slot(id))?.as_mut()
+}
+
+impl<T> Table<T> {
+    fn new() -> Self {
+        Table {
+            stripes: (0..STRIPES).map(|_| RwLock::new(Vec::new())).collect(),
+        }
+    }
+
+    fn stripe(&self, id: u64) -> &Stripe<T> {
+        &self.stripes[(id % STRIPES as u64) as usize]
+    }
+
+    fn insert(&self, id: u64, value: T) {
+        put(&mut write(self.stripe(id)), slot(id), value);
+    }
+
+    fn len(&self) -> usize {
+        self.stripes
+            .iter()
+            .map(|s| read(s).iter().flatten().count())
+            .sum()
+    }
+
+    /// `f` of every entry, filtered, in id order: a point-in-time copy
+    /// taken under every stripe's read lock.
+    fn collect<R>(&self, mut f: impl FnMut(u64, &T) -> Option<R>) -> Vec<R> {
+        let stripes: Vec<_> = self.stripes.iter().map(|s| read(s)).collect();
+        let slots = stripes.iter().map(|s| s.len()).max().unwrap_or(0);
+        (0..(slots * STRIPES) as u64)
+            .filter_map(|id| f(id, entry(&stripes[(id % STRIPES as u64) as usize], id)?))
+            .collect()
+    }
 }
 
 /// A cluster-level invitation (parent and sub-group may be on different
@@ -100,8 +185,8 @@ fn stripe_of(key: u64) -> usize {
 #[derive(Debug)]
 pub struct Directory {
     ring: RwLock<HashRing>,
-    groups: Vec<RwLock<BTreeMap<GlobalGroupId, GroupPlacement>>>,
-    members: Vec<RwLock<BTreeMap<GlobalMemberId, MemberRecord>>>,
+    groups: Table<GroupPlacement>,
+    members: Table<MemberRecord>,
     /// Reverse directory: which global member a shard-local id belongs to.
     locals: Vec<RwLock<BTreeMap<(ShardId, MemberId), GlobalMemberId>>>,
     invitations: RwLock<Vec<ClusterInvitation>>,
@@ -118,8 +203,8 @@ impl Directory {
     pub(crate) fn new(ring: HashRing) -> Self {
         Directory {
             ring: RwLock::new(ring),
-            groups: (0..STRIPES).map(|_| RwLock::new(BTreeMap::new())).collect(),
-            members: (0..STRIPES).map(|_| RwLock::new(BTreeMap::new())).collect(),
+            groups: Table::new(),
+            members: Table::new(),
             locals: (0..STRIPES).map(|_| RwLock::new(BTreeMap::new())).collect(),
             invitations: RwLock::new(Vec::new()),
             next_group: AtomicU64::new(0),
@@ -175,67 +260,43 @@ impl Directory {
 
     // ----- groups -----------------------------------------------------------
 
-    fn group_stripe(&self, id: GlobalGroupId) -> &RwLock<BTreeMap<GlobalGroupId, GroupPlacement>> {
-        &self.groups[stripe_of(id.0)]
-    }
-
     /// Where a group currently lives.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownGroup`] for an unknown id.
     pub fn placement(&self, group: GlobalGroupId) -> Result<GroupPlacement> {
-        read(self.group_stripe(group))
-            .get(&group)
+        entry(&read(self.groups.stripe(group.0)), group.0)
             .copied()
             .ok_or(ClusterError::UnknownGroup(group))
     }
 
     /// Records (or moves) a group's placement.
     pub(crate) fn place_group(&self, group: GlobalGroupId, placement: GroupPlacement) {
-        write(self.group_stripe(group)).insert(group, placement);
+        self.groups.insert(group.0, placement);
     }
 
     /// Number of groups in the directory.
     pub fn group_count(&self) -> usize {
-        self.groups.iter().map(|s| read(s).len()).sum()
+        self.groups.len()
     }
 
     /// Every group owned by a shard.
     pub fn groups_on(&self, shard: ShardId) -> Vec<GlobalGroupId> {
-        let mut out: Vec<GlobalGroupId> = self
-            .groups
-            .iter()
-            .flat_map(|s| {
-                read(s)
-                    .iter()
-                    .filter(|(_, p)| p.shard == shard)
-                    .map(|(&g, _)| g)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_unstable();
-        out
+        self.groups
+            .collect(|g, p| (p.shard == shard).then_some(GlobalGroupId(g)))
     }
 
     /// A point-in-time copy of every placement, sorted by group id.
     pub(crate) fn placements_snapshot(&self) -> Vec<(GlobalGroupId, GroupPlacement)> {
-        let mut out: Vec<(GlobalGroupId, GroupPlacement)> = self
-            .groups
-            .iter()
-            .flat_map(|s| read(s).iter().map(|(&g, &p)| (g, p)).collect::<Vec<_>>())
-            .collect();
-        out.sort_unstable_by_key(|&(g, _)| g);
-        out
+        self.groups.collect(|g, &p| Some((GlobalGroupId(g), p)))
     }
 
     // ----- members ----------------------------------------------------------
 
-    pub(crate) fn member_stripe(
-        &self,
-        id: GlobalMemberId,
-    ) -> &RwLock<BTreeMap<GlobalMemberId, MemberRecord>> {
-        &self.members[stripe_of(id.0)]
+    /// The stripe holding a member's record (see [`entry_mut`]).
+    pub(crate) fn member_stripe(&self, id: GlobalMemberId) -> &Stripe<MemberRecord> {
+        self.members.stripe(id.0)
     }
 
     /// Registers a member, returning its new global id.
@@ -243,50 +304,46 @@ impl Directory {
         let id = GlobalMemberId(self.alloc_member());
         let record = MemberRecord {
             template,
-            locals: BTreeMap::new(),
+            locals: Vec::new(),
         };
-        write(self.member_stripe(id)).insert(id, record);
+        self.members.insert(id.0, record);
         id
     }
 
     /// Number of registered members.
     pub fn member_count(&self) -> usize {
-        self.members.iter().map(|s| read(s).len()).sum()
+        self.members.len()
+    }
+
+    /// Runs `f` with a member's record.
+    fn with_member<R>(
+        &self,
+        member: GlobalMemberId,
+        f: impl FnOnce(&MemberRecord) -> R,
+    ) -> Result<R> {
+        entry(&read(self.member_stripe(member)), member.0)
+            .map(f)
+            .ok_or(ClusterError::UnknownMember(member))
     }
 
     /// The member's display name (from its template).
     pub(crate) fn member_name(&self, member: GlobalMemberId) -> Result<String> {
-        read(self.member_stripe(member))
-            .get(&member)
-            .map(|r| r.template.name.clone())
-            .ok_or(ClusterError::UnknownMember(member))
+        self.with_member(member, |r| r.template.name.clone())
     }
 
     /// The member's dense id on a shard, if instantiated there.
     pub fn local_member(&self, member: GlobalMemberId, shard: ShardId) -> Result<MemberId> {
-        read(self.member_stripe(member))
-            .get(&member)
-            .ok_or(ClusterError::UnknownMember(member))?
-            .locals
-            .get(&shard)
-            .copied()
+        self.with_member(member, |r| r.local(shard))?
             .ok_or(ClusterError::NotOnShard { member, shard })
     }
 
     /// A point-in-time copy of every member's shard-local ids.
     pub(crate) fn members_snapshot(&self) -> Vec<(GlobalMemberId, Vec<(ShardId, MemberId)>)> {
-        let mut out: Vec<(GlobalMemberId, Vec<(ShardId, MemberId)>)> = self
-            .members
-            .iter()
-            .flat_map(|s| {
-                read(s)
-                    .iter()
-                    .map(|(&m, r)| (m, r.locals.iter().map(|(&s, &l)| (s, l)).collect()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_unstable_by_key(|&(m, _)| m);
-        out
+        self.members.collect(|m, r| {
+            let locals = r.locals.iter().enumerate();
+            let locals = locals.filter_map(|(s, l)| l.map(|l| (ShardId(s), l)));
+            Some((GlobalMemberId(m), locals.collect()))
+        })
     }
 
     // ----- reverse directory ------------------------------------------------
@@ -397,5 +454,110 @@ mod tests {
         assert_eq!(dir.global_of(ShardId(1), MemberId(7)), Some(m));
         assert_eq!(dir.global_of(ShardId(0), MemberId(7)), None);
         assert_eq!(dir.member_name(m).unwrap(), "alice");
+    }
+
+    /// Instantiates `member` as `local` on `shard` the way
+    /// `Core::ensure_on_shard` does: reverse mapping first, then the record.
+    fn instantiate(dir: &Directory, member: GlobalMemberId, shard: ShardId, local: MemberId) {
+        dir.record_local(shard, local, member);
+        let mut stripe = write(dir.member_stripe(member));
+        entry_mut(&mut stripe, member.0)
+            .expect("registered")
+            .set_local(shard, local);
+    }
+
+    /// The dense tables against plain ordered maps: ids out of order, with
+    /// gaps, across stripes and past the end of a stripe; placements moved;
+    /// members instantiated on shards the ring grew to after their record
+    /// was made.
+    #[test]
+    fn dense_tables_answer_like_ordered_maps() {
+        let dir = Directory::new(HashRing::new(2, 16));
+        let mut groups: BTreeMap<GlobalGroupId, GroupPlacement> = BTreeMap::new();
+        let placed = |shard: usize, local: usize| GroupPlacement {
+            shard: ShardId(shard),
+            local: dmps_floor::GroupId(local),
+            parent: None,
+        };
+        for (i, id) in [0, 17, 5, 40, 3, 16, 33, 1].into_iter().enumerate() {
+            let p = placed(id as usize % 3, i);
+            dir.place_group(GlobalGroupId(id), p);
+            groups.insert(GlobalGroupId(id), p);
+        }
+        // A move (a handoff's commit) replaces the placement in place.
+        for id in [17, 0] {
+            let p = placed(2, 99);
+            dir.place_group(GlobalGroupId(id), p);
+            groups.insert(GlobalGroupId(id), p);
+        }
+
+        let mut members: BTreeMap<GlobalMemberId, BTreeMap<ShardId, MemberId>> = BTreeMap::new();
+        for _ in 0..40 {
+            let m = dir.register_member(Member::new("m", Role::Participant));
+            members.insert(m, BTreeMap::new());
+        }
+        while dir.grow_ring().0 < 6 {}
+        // Members spread over the shards by a fixed stride; shard 6 lies
+        // past every record's locals at the time it is recorded.
+        for (k, (&m, locals)) in members.iter_mut().enumerate() {
+            for shard in [k % 3, 6 - k % 2, k % 7] {
+                let local = MemberId(k * 10 + shard);
+                instantiate(&dir, m, ShardId(shard), local);
+                locals.insert(ShardId(shard), local);
+            }
+        }
+
+        for (&g, &p) in &groups {
+            assert_eq!(dir.placement(g).unwrap(), p);
+        }
+        assert_eq!(dir.group_count(), groups.len());
+        let want: Vec<_> = groups.iter().map(|(&g, &p)| (g, p)).collect();
+        assert_eq!(dir.placements_snapshot(), want, "sorted by group id");
+        for shard in 0..7 {
+            let on: Vec<_> = groups
+                .iter()
+                .filter(|(_, p)| p.shard == ShardId(shard))
+                .map(|(&g, _)| g)
+                .collect();
+            assert_eq!(dir.groups_on(ShardId(shard)), on);
+        }
+
+        assert_eq!(dir.member_count(), members.len());
+        let want: Vec<_> = members
+            .iter()
+            .map(|(&m, locals)| (m, locals.iter().map(|(&s, &l)| (s, l)).collect()))
+            .collect::<Vec<(GlobalMemberId, Vec<(ShardId, MemberId)>)>>();
+        assert_eq!(dir.members_snapshot(), want, "sorted by member, then shard");
+        for (&m, locals) in &members {
+            for shard in (0..8).map(ShardId) {
+                match locals.get(&shard) {
+                    Some(&local) => {
+                        assert_eq!(dir.local_member(m, shard).unwrap(), local);
+                        assert_eq!(dir.global_of(shard, local), Some(m));
+                    }
+                    None => assert_eq!(
+                        dir.local_member(m, shard),
+                        Err(ClusterError::NotOnShard { member: m, shard })
+                    ),
+                }
+            }
+        }
+
+        // Unknown ids: in a gap, past a stripe's end, and at the far end of
+        // the id space.
+        for id in [2, 41, 1 << 40, u64::MAX] {
+            assert_eq!(
+                dir.placement(GlobalGroupId(id)),
+                Err(ClusterError::UnknownGroup(GlobalGroupId(id)))
+            );
+        }
+        for id in [40, 1 << 40, u64::MAX] {
+            let m = GlobalMemberId(id);
+            assert_eq!(
+                dir.local_member(m, ShardId(0)),
+                Err(ClusterError::UnknownMember(m))
+            );
+            assert_eq!(dir.member_name(m), Err(ClusterError::UnknownMember(m)));
+        }
     }
 }

@@ -2,25 +2,25 @@
 //!
 //! A [`Gateway`] is the multi-gateway face of the control plane: it shares
 //! the cluster's [`Directory`](crate::Directory) and shard pipelines through
-//! an `Arc`, but owns a private reply channel that decisions
-//! for *its* submissions come back on. Cloning a gateway is one channel
-//! allocation, one registry slot and an `Arc` bump — hand one clone to
-//! every front-end thread and they all ingest concurrently.
+//! an `Arc`, but owns a private mailbox that decisions for *its*
+//! submissions are delivered into. Cloning a gateway is one mailbox
+//! allocation and an `Arc` bump — hand one clone to every front-end thread
+//! and they all ingest concurrently.
 //!
 //! Floor requests and session operations (chat lines, whiteboard strokes,
 //! annotations, synchronized-media schedules) are one [`Op`] to a gateway:
 //! they share its request-id space, one scalar and one vectored submit path,
 //! the owning shard's FIFO queue — so a group's ops are applied in
 //! submission order whatever their kinds, content floor-gated against the
-//! requests before it — and one reply channel. The typed methods are views
+//! requests before it — and one mailbox. The typed methods are views
 //! of that one path:
 //!
 //! * [`Gateway::submit`] / [`Gateway::submit_session`] route one op
 //!   (read-mostly directory lookups, one bounded-queue push) and return its
 //!   cluster-unique request id. The submit path itself performs **no
 //!   per-request heap allocation**: the id comes from a leased block
-//!   instead of a shared atomic, and the command carries a small copyable
-//!   reply handle instead of a cloned channel sender.
+//!   instead of a shared atomic, and the command carries an `Arc` of the
+//!   gateway's mailbox, which the shard step delivers the decision into.
 //! * [`Gateway::submit_batch`] / [`Gateway::submit_session_batch`] /
 //!   [`Gateway::submit_ops`] are the vectored form — one id-lease, one
 //!   directory pass and one queue reservation per owning shard for a whole
@@ -28,11 +28,11 @@
 //! * [`Gateway::recv_decision`] / [`Gateway::collect_decisions`] and
 //!   [`Gateway::recv_session_decision`] stream the [`Decision`]s and
 //!   [`SessionDecision`]s back, each tagged with the request id and whether
-//!   it was replayed from a shard's dedup window. Workers deliver replies
-//!   coalesced per batch; the gateway sorts them onto the two typed streams,
-//!   so waiting on one never loses the other's decisions. (A `&Gateway`
-//!   shared between threads serializes their receives; the intended pattern
-//!   is one clone per thread.)
+//!   it was replayed from a shard's dedup window. Whoever steps the shard
+//!   delivers a batch's replies straight into the gateway's mailbox, sorted
+//!   onto the two typed lanes, so waiting on one never loses the other's
+//!   decisions. (Threads sharing a `&Gateway` may block on different lanes
+//!   at once; the intended pattern is still one clone per thread.)
 //! * [`Gateway::resubmit`] / [`Gateway::resubmit_session`] retry an op under
 //!   its original id — the retransmission path after a shard crash *or*
 //!   after a shed ([`ClusterError::Overloaded`]). The owning shard's dedup
@@ -100,8 +100,7 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use dmps_floor::{ArbitrationOutcome, FcmMode, InvitationStatus, Member};
 
@@ -110,50 +109,85 @@ use crate::directory::{ClusterInvitation, GroupPlacement};
 use crate::error::{ClusterError, Result};
 use crate::instrument::GatewayMetrics;
 use crate::op::{Op, Reply};
-use crate::poison::lock;
+use crate::poison::{lock, wait};
 use crate::queue::QueueStats;
 use crate::ring::ShardId;
 use crate::session::{GroupSession, SessionDecision, SessionOp, SessionOutcome};
 use crate::shard::{GlobalGroupId, GlobalMemberId};
-use crate::worker::{ReplyHandle, ReplyTo, ShardWorker};
+use crate::worker::{ReplyTo, ShardWorker};
 
-/// This gateway's end of its one reply channel. Workers deliver replies
-/// coalesced (one `Vec` per gateway per drained batch, floor and session
-/// decisions together); the inbox unpacks them onto the two typed lanes the
-/// `recv*` methods read, so either lane can be awaited without losing the
-/// other's decisions.
+/// A gateway's mailbox: the two typed decision lanes its `recv*` methods
+/// read, filled directly by whichever thread releases a batch (a worker, or
+/// a caller stepping the shard inline). Commands carry an `Arc` of it, so a
+/// delivery is one lock and a few pushes — no channel, no per-batch `Vec` —
+/// and the condvar is signalled only when a receiver actually waits. Either
+/// lane can be awaited without losing the other's decisions, and threads
+/// sharing one `&Gateway` may block on different lanes at once.
 #[derive(Debug)]
-struct Inbox {
-    rx: Receiver<Vec<Reply>>,
-    floor: VecDeque<Decision>,
-    session: VecDeque<SessionDecision>,
+pub(crate) struct Mailbox {
+    /// The gateway's telemetry index (`gateway.N.*` names and span tags).
+    index: u32,
+    lanes: Mutex<Lanes>,
+    ready: Condvar,
 }
 
-/// Picks one of an [`Inbox`]'s typed lanes.
-type Lane<T> = fn(&mut Inbox) -> &mut VecDeque<T>;
-const FLOOR: Lane<Decision> = |inbox| &mut inbox.floor;
-const SESSION: Lane<SessionDecision> = |inbox| &mut inbox.session;
+#[derive(Debug, Default)]
+struct Lanes {
+    floor: VecDeque<Decision>,
+    session: VecDeque<SessionDecision>,
+    /// Receivers blocked on `ready`.
+    waiting: usize,
+}
 
-impl Inbox {
-    /// The next decision on `lane`, receiving (and sorting onto both lanes)
-    /// further reply batches until one shows up: blocking for them when
-    /// `block`, else only taking what has already been delivered.
-    fn next<T>(&mut self, lane: Lane<T>, block: bool) -> Option<T> {
+/// Picks one of a [`Mailbox`]'s typed lanes.
+type Lane<T> = fn(&mut Lanes) -> &mut VecDeque<T>;
+const FLOOR: Lane<Decision> = |lanes| &mut lanes.floor;
+const SESSION: Lane<SessionDecision> = |lanes| &mut lanes.session;
+
+impl Mailbox {
+    pub(crate) fn new(index: u32) -> Self {
+        Mailbox {
+            index,
+            lanes: Mutex::default(),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// The owning gateway's telemetry index.
+    pub(crate) fn index(&self) -> u32 {
+        self.index
+    }
+
+    /// Sorts a run of released replies onto the two lanes under one lock,
+    /// waking the receivers if any wait.
+    pub(crate) fn deliver(&self, replies: impl IntoIterator<Item = Reply>) {
+        let mut lanes = lock(&self.lanes);
+        for reply in replies {
+            match reply {
+                Reply::Floor(decision) => lanes.floor.push_back(decision),
+                Reply::Session(decision) => lanes.session.push_back(decision),
+            }
+        }
+        if lanes.waiting > 0 {
+            drop(lanes);
+            self.ready.notify_all();
+        }
+    }
+
+    /// The next decision on `lane`: waiting for one when `block`, else only
+    /// taking what has already been delivered.
+    fn next<T>(&self, lane: Lane<T>, block: bool) -> Option<T> {
+        let mut lanes = lock(&self.lanes);
         loop {
-            if let Some(decision) = lane(self).pop_front() {
+            if let Some(decision) = lane(&mut lanes).pop_front() {
                 return Some(decision);
             }
-            let batch = if block {
-                self.rx.recv().ok()?
-            } else {
-                self.rx.try_recv().ok()?
-            };
-            for reply in batch {
-                match reply {
-                    Reply::Floor(decision) => self.floor.push_back(decision),
-                    Reply::Session(decision) => self.session.push_back(decision),
-                }
+            if !block {
+                return None;
             }
+            lanes.waiting += 1;
+            lanes = wait(&self.ready, lanes);
+            lanes.waiting -= 1;
         }
     }
 }
@@ -179,13 +213,9 @@ struct SeqLease {
 #[derive(Debug)]
 pub struct Gateway {
     core: Arc<Core>,
-    /// This gateway's slot in the shared reply registry; commands carry this
-    /// small copyable handle instead of a cloned `Sender`.
-    handle: ReplyHandle,
-    /// Behind a (virtually always uncontended) mutex only so a `&Gateway`
-    /// can be shared across scoped threads; the intended pattern is still
-    /// one clone per thread.
-    inbox: Mutex<Inbox>,
+    /// Where this gateway's decisions are delivered; every command it
+    /// submits carries a clone of the `Arc`.
+    mailbox: Arc<Mailbox>,
     /// The current request-id lease (empty until the first submission).
     lease: Mutex<SeqLease>,
     /// This gateway's submit-side instruments (`gateway.N.*`), pre-resolved
@@ -199,34 +229,20 @@ pub struct Gateway {
 }
 
 impl Clone for Gateway {
-    /// A clone shares the directory and shard pipelines but gets fresh,
-    /// empty decision streams (and its own registry slot and id lease).
+    /// A clone shares the directory and shard pipelines but gets a fresh,
+    /// empty mailbox (with its own telemetry index) and id lease.
     fn clone(&self) -> Self {
         Gateway::new(self.core.clone())
     }
 }
 
-impl Drop for Gateway {
-    fn drop(&mut self) {
-        // Free the registry slot; in-flight decisions addressed to it are
-        // dropped by the generation check, never delivered to a successor.
-        self.core.registry.unregister(self.handle);
-    }
-}
-
 impl Gateway {
     pub(crate) fn new(core: Arc<Core>) -> Self {
-        let (tx, rx) = channel();
-        let handle = core.registry.register(tx);
-        let metrics = core.telemetry.gateway(handle.index());
+        let mailbox = core.new_mailbox();
+        let metrics = core.telemetry.gateway(mailbox.index);
         Gateway {
             core,
-            handle,
-            inbox: Mutex::new(Inbox {
-                rx,
-                floor: VecDeque::new(),
-                session: VecDeque::new(),
-            }),
+            mailbox,
             lease: Mutex::new(SeqLease { next: 0, end: 0 }),
             metrics,
             watermarks: Mutex::new(Vec::new()),
@@ -301,14 +317,15 @@ impl Gateway {
     fn submit_op(&self, op: Op) -> Result<u64> {
         let seq = self.alloc_seq_run(1);
         self.core
-            .submit_as(seq, op, ReplyTo::Gateway(self.handle))?;
+            .submit_as(seq, op, ReplyTo::Gateway(self.mailbox.clone()))?;
         Ok(seq)
     }
 
     /// The one retry: the same path under the op's original id.
     fn resubmit_op(&self, seq: u64, op: Op) -> Result<()> {
         self.metrics.retries.incr();
-        self.core.submit_as(seq, op, ReplyTo::Gateway(self.handle))
+        self.core
+            .submit_as(seq, op, ReplyTo::Gateway(self.mailbox.clone()))
     }
 
     /// The one vectored submit behind [`Gateway::submit_batch`],
@@ -323,7 +340,7 @@ impl Gateway {
         // monotone per gateway.
         let start = self.alloc_seq_run(ops.len() as u64);
         self.core
-            .submit_batch_as(start, ops, &ReplyTo::Gateway(self.handle))
+            .submit_batch_as(start, ops, &ReplyTo::Gateway(self.mailbox.clone()))
     }
 
     /// Routes a batch of ops of any kinds — floor requests and session
@@ -368,10 +385,10 @@ impl Gateway {
         self.resubmit_op(seq, Op::Floor(request))
     }
 
-    /// The next decision on one of the inbox's lanes, folded into this
+    /// The next decision on one of the mailbox's lanes, folded into this
     /// gateway's read-your-writes watermark.
     fn take<O>(&self, lane: Lane<Decision<O>>, block: bool) -> Option<Decision<O>> {
-        let decision = lock(&self.inbox).next(lane, block)?;
+        let decision = self.mailbox.next(lane, block)?;
         self.observe_commit(decision.shard, decision.commit);
         Some(decision)
     }
@@ -400,14 +417,8 @@ impl Gateway {
     /// gone before `n` decisions arrived.
     pub fn collect_decisions(&self, n: usize) -> Result<Vec<Decision>> {
         let mut decisions = Vec::with_capacity(n);
-        {
-            let mut inbox = lock(&self.inbox);
-            for _ in 0..n {
-                decisions.push(inbox.next(FLOOR, true).ok_or(ClusterError::Disconnected)?);
-            }
-        }
-        for d in &decisions {
-            self.observe_commit(d.shard, d.commit);
+        for _ in 0..n {
+            decisions.push(self.recv_decision()?);
         }
         decisions.sort_by_key(|d| d.seq);
         Ok(decisions)
@@ -690,6 +701,7 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
     use dmps_floor::Role;
+    use std::sync::Barrier;
 
     #[test]
     fn cloned_gateways_receive_only_their_own_decisions() {
@@ -989,6 +1001,132 @@ mod tests {
         let decision = b.recv_decision().unwrap();
         assert_eq!(decision.seq, seq_b, "b sees exactly its own decision");
         assert!(b.try_recv_decision().is_none());
+        cluster.check_invariants().unwrap();
+    }
+
+    /// A cluster whose shards are stepped by their worker threads only, so
+    /// decisions are delivered into a mailbox from another thread.
+    fn worker_stepped() -> Cluster {
+        let core = Arc::new(Core::build(ClusterConfig::with_shards(2), false));
+        let gateway = Gateway::new(core.clone());
+        Cluster { core, gateway }
+    }
+
+    /// An Equal Control group with two members.
+    fn seminar(cluster: &Cluster) -> (GlobalGroupId, [GlobalMemberId; 2]) {
+        let g = cluster
+            .create_group("seminar", FcmMode::EqualControl)
+            .unwrap();
+        let members = ["a", "b"].map(|name| {
+            let m = cluster.register_member(Member::new(name, Role::Chair));
+            cluster.join_group(g, m).unwrap();
+            m
+        });
+        (g, members)
+    }
+
+    /// Spins until `n` receivers wait on the gateway's mailbox.
+    fn await_waiters(gateway: &Gateway, n: usize) {
+        while lock(&gateway.mailbox.lanes).waiting < n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Floor requests that alternate speak and release between two members.
+    fn turns(g: GlobalGroupId, [a, b]: [GlobalMemberId; 2], n: usize) -> Vec<GlobalRequest> {
+        (0..n)
+            .map(|i| match (i % 2, i % 4 < 2) {
+                (0, true) => GlobalRequest::speak(g, a),
+                (1, true) => GlobalRequest::release_floor(g, a),
+                (0, false) => GlobalRequest::speak(g, b),
+                _ => GlobalRequest::release_floor(g, b),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_session_waiter_wakes_past_floor_decisions_delivered_first() {
+        let cluster = worker_stepped();
+        let (g, members) = seminar(&cluster);
+        let gateway = cluster.gateway();
+        let (floor_seqs, chat_seq, chat) = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| gateway.recv_session_decision().unwrap());
+            await_waiters(&gateway, 1);
+            // One shard, one FIFO: every floor decision is delivered (and
+            // wakes the waiter, which must go back to waiting) before the
+            // chat's.
+            let floor_seqs: Vec<u64> = turns(g, members, 16)
+                .into_iter()
+                .map(|r| gateway.submit(r).unwrap())
+                .collect();
+            let chat_seq = gateway
+                .submit_session(SessionOp::chat(g, members[0], "late"))
+                .unwrap();
+            (floor_seqs, chat_seq, waiter.join().unwrap())
+        });
+        assert_eq!(chat.seq, chat_seq);
+        let floor: Vec<u64> = (0..floor_seqs.len())
+            .map(|_| gateway.recv_decision().unwrap().seq)
+            .collect();
+        assert_eq!(floor, floor_seqs, "none lost, none reordered");
+        assert!(gateway.try_recv_decision().is_none());
+    }
+
+    #[test]
+    fn threads_sharing_a_gateway_block_on_different_lanes_and_both_wake() {
+        let cluster = worker_stepped();
+        let (g, members) = seminar(&cluster);
+        let gateway = cluster.gateway();
+        std::thread::scope(|scope| {
+            let floor = scope.spawn(|| gateway.recv_decision().unwrap());
+            let session = scope.spawn(|| gateway.recv_session_decision().unwrap());
+            await_waiters(&gateway, 2);
+            let chat = gateway
+                .submit_session(SessionOp::chat(g, members[1], "first"))
+                .unwrap();
+            let speak = gateway.submit(GlobalRequest::speak(g, members[0])).unwrap();
+            assert_eq!(session.join().unwrap().seq, chat);
+            assert_eq!(floor.join().unwrap().seq, speak);
+        });
+    }
+
+    #[test]
+    fn a_gateway_dropped_with_decisions_in_flight_leaks_nothing() {
+        let cluster = worker_stepped();
+        let (g, members) = seminar(&cluster);
+        let shard = cluster.placement(g).unwrap().shard;
+        let doomed = cluster.gateway();
+        let (held, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        std::thread::scope(|scope| {
+            let (h, r) = (held.clone(), release.clone());
+            let cluster = &cluster;
+            scope.spawn(move || {
+                cluster.inspect_shard(shard, move |_| {
+                    h.wait();
+                    r.wait();
+                })
+            });
+            held.wait();
+            // Queued behind the held core, then orphaned.
+            doomed.submit_batch(&turns(g, members, 32));
+            doomed
+                .submit_session(SessionOp::chat(g, members[0], "orphan"))
+                .unwrap();
+            drop(doomed);
+            release.wait();
+        });
+        let successor = cluster.gateway();
+        let speak = successor
+            .submit(GlobalRequest::speak(g, members[1]))
+            .unwrap();
+        let decision = successor.recv_decision().unwrap();
+        assert_eq!(decision.seq, speak, "only its own decision");
+        assert!(successor.try_recv_decision().is_none());
+        assert!(successor.try_recv_session_decision().is_none());
+        // The worker delivered into the orphaned mailbox and kept serving.
+        assert!(cluster
+            .request(GlobalRequest::release_floor(g, members[1]))
+            .is_ok());
         cluster.check_invariants().unwrap();
     }
 }

@@ -40,11 +40,11 @@
 //!   silently. Control-plane commands are exempt from the bound, so
 //!   crash-recovery and handoffs cannot be starved by a storm.
 //! * **Gateways** ([`gateway`]) — a [`Gateway`] is a cheaply-cloneable
-//!   ingest handle (`Arc` of the shared core + its own registered reply
-//!   stream). Hand a clone to every front-end thread. The submit path does
-//!   no per-request heap allocation: request ids come from per-gateway
-//!   leased blocks instead of a shared atomic, and commands carry a small
-//!   registry handle instead of a cloned channel sender.
+//!   ingest handle (`Arc` of the shared core + its own decision mailbox).
+//!   Hand a clone to every front-end thread. The submit path does no
+//!   per-request heap allocation: request ids come from per-gateway leased
+//!   blocks instead of a shared atomic, and commands carry an `Arc` of the
+//!   mailbox that the shard step delivers decisions into.
 //!   [`Gateway::submit_batch`] /
 //!   [`Gateway::submit_session_batch`] / [`Gateway::submit_ops`] route a
 //!   whole batch with one id lease, one directory pass and one queue

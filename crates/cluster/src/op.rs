@@ -5,7 +5,7 @@
 //! interactions on the *same* per-group ordered stream — content is admitted
 //! against the floor state the preceding requests left behind. The cluster
 //! therefore carries both as one [`Op`] through one pipeline (one request-id
-//! space, one routing pass, one shard queue, one reply channel) and only
+//! space, one routing pass, one shard queue, one mailbox) and only
 //! splits them again at the very ends: the shard's two arbitration entry
 //! points, and the gateway's two typed decision streams. BFCP is the model:
 //! one common header and one transaction-id space, many primitives.

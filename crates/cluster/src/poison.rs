@@ -4,9 +4,9 @@
 //! later `lock()` / `read()` / `write()` then fails — so one panicking
 //! gateway thread would turn into a process-wide outage at the next
 //! `expect`. The locks taken through these accessors (the parking lot, the
-//! worker table, the reply registry, a gateway's inbox / id lease /
-//! watermarks, every directory stripe, the ring, the invitation list, a
-//! shard's command queue) all guard data whose every update is a single
+//! worker table, a gateway's mailbox / id lease / watermarks, every
+//! directory stripe, the ring, the invitation list, a shard's command
+//! queue) all guard data whose every update is a single
 //! insert, remove, push, pop or counter store: no panic can leave them
 //! half-written, so recovering the guard is sound and the routing layer
 //! keeps serving.

@@ -53,7 +53,7 @@
 //! assert!(retry.unwrap().is_granted() && replayed, "journal answers the retry");
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -470,16 +470,12 @@ impl<E> EventLog<E> {
 pub struct DedupWindow<T = ArbitrationOutcome> {
     capacity: usize,
     order: VecDeque<u64>,
-    outcomes: BTreeMap<u64, (GlobalGroupId, Arc<T>)>,
+    outcomes: HashMap<u64, (GlobalGroupId, Arc<T>)>,
 }
 
 impl<T> Default for DedupWindow<T> {
     fn default() -> Self {
-        DedupWindow {
-            capacity: 0,
-            order: VecDeque::new(),
-            outcomes: BTreeMap::new(),
-        }
+        DedupWindow::new(0)
     }
 }
 
@@ -489,7 +485,7 @@ impl<T> DedupWindow<T> {
         DedupWindow {
             capacity,
             order: VecDeque::new(),
-            outcomes: BTreeMap::new(),
+            outcomes: HashMap::new(),
         }
     }
 
@@ -514,7 +510,9 @@ impl<T> DedupWindow<T> {
     }
 
     /// Records a decision, evicting the oldest entries when over capacity.
-    /// Recording shares the outcome (`Arc` bump), never deep-copies it.
+    /// Recording shares the outcome (`Arc` bump), never deep-copies it, and
+    /// a window at capacity reuses its table: the steady state allocates
+    /// nothing.
     pub fn record(&mut self, id: u64, group: GlobalGroupId, outcome: Arc<T>) {
         if self.capacity == 0 || self.outcomes.contains_key(&id) {
             return;
@@ -531,33 +529,30 @@ impl<T> DedupWindow<T> {
         self.outcomes.insert(id, (group, outcome));
     }
 
-    /// Copies every journaled decision for `group` without removing it —
-    /// phase 1 of a live handoff exports the slice while the source must
-    /// stay able to answer retries until the commit point. The copies are
-    /// `Arc` shares, not deep clones.
+    /// Copies every journaled decision for `group`, in id order, without
+    /// removing it — phase 1 of a live handoff exports the slice while the
+    /// source must stay able to answer retries until the commit point. The
+    /// copies are `Arc` shares, not deep clones.
     pub fn peek_group(&self, group: GlobalGroupId) -> Vec<(u64, Arc<T>)> {
-        self.outcomes
-            .iter()
-            .filter(|(_, (g, _))| *g == group)
-            .map(|(&id, (_, outcome))| (id, outcome.clone()))
-            .collect()
-    }
-
-    /// Removes and returns every journaled decision for `group` — the
-    /// migration path: the entries follow the group to its new shard.
-    pub fn extract_group(&mut self, group: GlobalGroupId) -> Vec<(u64, Arc<T>)> {
-        let ids: Vec<u64> = self
+        let mut entries: Vec<(u64, Arc<T>)> = self
             .outcomes
             .iter()
             .filter(|(_, (g, _))| *g == group)
-            .map(|(&id, _)| id)
+            .map(|(&id, (_, outcome))| (id, outcome.clone()))
             .collect();
-        ids.into_iter()
-            .map(|id| {
-                let (_, outcome) = self.outcomes.remove(&id).expect("listed above");
-                (id, outcome)
-            })
-            .collect()
+        entries.sort_unstable_by_key(|&(id, _)| id);
+        entries
+    }
+
+    /// Removes and returns every journaled decision for `group`, in id
+    /// order — the migration path: the entries follow the group to its new
+    /// shard.
+    pub fn extract_group(&mut self, group: GlobalGroupId) -> Vec<(u64, Arc<T>)> {
+        let entries = self.peek_group(group);
+        for (id, _) in &entries {
+            self.outcomes.remove(id);
+        }
+        entries
     }
 
     /// Installs journal entries extracted from another shard's window.

@@ -26,7 +26,7 @@
 //! ([`EventLog::append_batch`](crate::EventLog::append_batch)) with one
 //! snapshot-cadence check — the group commit. Replies release only *after*
 //! it (a decision is never visible before its event is durable), one
-//! channel send per gateway per batch. With
+//! mailbox lock per gateway run of the batch. With
 //! [`ClusterConfig::replicas`](crate::ClusterConfig::replicas) > 0 a
 //! committed batch also ships to the followers (the `replication` module)
 //! and its replies park in an in-flight window of at most
@@ -42,9 +42,10 @@
 //! never see half a batch. Control commands are exempt from the ingest
 //! bound, so a storm cannot starve crash-recovery or handoffs.
 //!
-//! Commands carry a small generation-checked `ReplyHandle` into the shared
-//! `ReplyRegistry` instead of a cloned `Sender`; a reused slot cannot leak
-//! decisions across gateways.
+//! A streamed command carries its gateway's mailbox (an `Arc`), and a
+//! released batch's replies go straight into it: no channel, no per-batch
+//! reply `Vec`, no registry lookup. A gateway that is dropped with decisions
+//! in flight leaves them in its own mailbox, never in a successor's.
 //!
 //! A crashed shard keeps stepping, answering [`crate::ClusterError::ShardDown`]
 //! until recovered. A *panicking* step leaves the core's mutex poisoned with
@@ -74,108 +75,27 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dmps_telemetry::{saturating_nanos, Stage, TraceSpan};
 
 use crate::cluster::{ClusterConfig, Decision};
+use crate::gateway::Mailbox;
 use crate::instrument::{ClusterTelemetry, ReplicaMetrics, WorkerTelemetry};
 use crate::op::{LocalOp, Reply};
-use crate::poison::{read, write};
 use crate::queue::{OverloadPolicy, Queue, QueueStats};
 use crate::replication::{FollowerCore, ReplicaSet};
 use crate::shard::Shard;
 
-/// A small, copyable ticket identifying a registered gateway's reply
-/// channel. Generation-checked so a recycled slot cannot deliver a dead
-/// gateway's decisions to its successor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct ReplyHandle {
-    index: u32,
-    gen: u32,
-}
-
-impl ReplyHandle {
-    /// The registry slot index — doubles as the gateway's stable telemetry
-    /// index (`gateway.N.*` metric names and span tags).
-    pub(crate) fn index(&self) -> u32 {
-        self.index
-    }
-}
-
-#[derive(Debug)]
-struct Slot {
-    gen: u32,
-    channel: Option<Sender<Vec<Reply>>>,
-}
-
-/// The shared table of gateway reply channels: registered once per gateway,
-/// looked up by workers on every reply flush. Replaces the per-request
-/// `Sender::clone` that used to ride inside every command.
-#[derive(Debug, Default)]
-pub(crate) struct ReplyRegistry {
-    slots: RwLock<Vec<Slot>>,
-}
-
-impl ReplyRegistry {
-    /// Registers a gateway's reply channel, recycling a free slot if one
-    /// exists.
-    pub(crate) fn register(&self, channel: Sender<Vec<Reply>>) -> ReplyHandle {
-        let mut slots = write(&self.slots);
-        if let Some(index) = slots.iter().position(|s| s.channel.is_none()) {
-            let slot = &mut slots[index];
-            slot.gen = slot.gen.wrapping_add(1);
-            slot.channel = Some(channel);
-            return ReplyHandle {
-                index: index as u32,
-                gen: slot.gen,
-            };
-        }
-        slots.push(Slot {
-            gen: 0,
-            channel: Some(channel),
-        });
-        ReplyHandle {
-            index: (slots.len() - 1) as u32,
-            gen: 0,
-        }
-    }
-
-    /// Frees a gateway's slot. In-flight decisions addressed to the old
-    /// handle are dropped by the generation check.
-    pub(crate) fn unregister(&self, handle: ReplyHandle) {
-        let mut slots = write(&self.slots);
-        if let Some(slot) = slots.get_mut(handle.index as usize) {
-            if slot.gen == handle.gen {
-                slot.channel = None;
-            }
-        }
-    }
-
-    /// Delivers a coalesced batch of replies to a gateway. A stale or freed
-    /// handle (the gateway is gone) drops the batch, matching the old
-    /// dropped-receiver semantics.
-    pub(crate) fn send(&self, handle: ReplyHandle, batch: Vec<Reply>) {
-        let slots = read(&self.slots);
-        if let Some(slot) = slots.get(handle.index as usize) {
-            if slot.gen == handle.gen {
-                if let Some(channel) = &slot.channel {
-                    let _ = channel.send(batch);
-                }
-            }
-        }
-    }
-}
-
-/// Where a reply streams back to: the registered channel of a submitting
-/// gateway (the hot path — a copyable handle, no allocation), or a one-shot
-/// channel for the synchronous `request`/`session` round-trips.
+/// Where a reply streams back to: the submitting gateway's mailbox (the hot
+/// path — an `Arc` bump, no allocation), or a one-shot channel for the
+/// synchronous `request`/`session` round-trips.
 #[derive(Debug, Clone)]
 pub(crate) enum ReplyTo {
-    /// The submitting gateway's registered stream.
-    Gateway(ReplyHandle),
+    /// The submitting gateway's mailbox.
+    Gateway(Arc<Mailbox>),
     /// A caller-owned one-shot channel (synchronous paths).
     Direct(Sender<Reply>),
 }
@@ -333,7 +253,6 @@ impl ShardWorker {
         shard: Shard,
         config: &ClusterConfig,
         telemetry: &ClusterTelemetry,
-        registry: Arc<ReplyRegistry>,
         inline: bool,
     ) -> Self {
         let index = shard.id().index();
@@ -352,7 +271,6 @@ impl ShardWorker {
                 commands: VecDeque::new(),
                 open: PendingBatch::default(),
                 inflight: VecDeque::new(),
-                registry,
                 telemetry: telemetry.worker(index),
                 batch: config.ingest_batch.max(1),
             }),
@@ -465,30 +383,29 @@ impl Drop for ShardWorker {
     }
 }
 
-/// Releases every buffered reply, coalescing gateway-bound ones into one
-/// channel send per gateway (forwarding one-shot `Direct` replies as it
-/// goes). Called only after the batch that produced the replies has
-/// group-committed — this is where the decisions-never-outrun-durability
-/// barrier is enforced.
-fn flush_replies(registry: &ReplyRegistry, replies: &mut Vec<(ReplyTo, Reply)>) {
-    // A drained batch touches a handful of gateways at most, so a linear
-    // scan beats a map.
-    let mut by_gateway: Vec<(ReplyHandle, Vec<Reply>)> = Vec::new();
-    for (to, reply) in replies.drain(..) {
+/// Releases every buffered reply: each run of consecutive replies to one
+/// gateway goes into its mailbox under one lock, and one-shot `Direct`
+/// replies are forwarded as they come. Called only after the batch that
+/// produced the replies has group-committed — this is where the
+/// decisions-never-outrun-durability barrier is enforced.
+fn flush_replies(replies: &mut Vec<(ReplyTo, Reply)>) {
+    let mut replies = replies.drain(..).peekable();
+    while let Some((to, reply)) = replies.next() {
         match to {
-            ReplyTo::Gateway(handle) => match by_gateway.iter_mut().find(|(h, _)| *h == handle) {
-                Some((_, batch)) => batch.push(reply),
-                None => by_gateway.push((handle, vec![reply])),
-            },
-            // A gateway that dropped its one-shot receiver simply misses
-            // the decision; the shard state is already consistent.
+            ReplyTo::Gateway(mailbox) => {
+                let same = |(next, _): &(ReplyTo, Reply)| match next {
+                    ReplyTo::Gateway(next) => Arc::ptr_eq(next, &mailbox),
+                    ReplyTo::Direct(_) => false,
+                };
+                let more = std::iter::from_fn(|| replies.next_if(same).map(|(_, r)| r));
+                mailbox.deliver(std::iter::once(reply).chain(more));
+            }
+            // A caller that dropped its one-shot receiver simply misses the
+            // decision; the shard state is already consistent.
             ReplyTo::Direct(tx) => {
                 let _ = tx.send(reply);
             }
         }
-    }
-    for (handle, batch) in by_gateway {
-        registry.send(handle, batch);
     }
 }
 
@@ -508,16 +425,11 @@ struct PendingBatch {
 /// with the log position it rode to (the client's read-your-writes bound)
 /// and the leader epoch that committed it — a failed one committed nothing
 /// and carries neither — flushes the replies and completes the spans.
-fn release(
-    registry: &ReplyRegistry,
-    telemetry: &WorkerTelemetry,
-    batch: &mut PendingBatch,
-    epoch: u64,
-) {
+fn release(telemetry: &WorkerTelemetry, batch: &mut PendingBatch, epoch: u64) {
     for (_, reply) in batch.replies.iter_mut() {
         reply.stamp(batch.end_seq, epoch);
     }
-    flush_replies(registry, &mut batch.replies);
+    flush_replies(&mut batch.replies);
     for (span, is_session) in batch.spans.drain(..) {
         telemetry.finish_span(*span, is_session);
     }
@@ -534,7 +446,6 @@ fn release(
 fn fail_pipeline(
     shard: &mut Shard,
     inflight: &mut VecDeque<PendingBatch>,
-    registry: &ReplyRegistry,
     telemetry: &WorkerTelemetry,
 ) {
     while let Some(mut batch) = inflight.pop_front() {
@@ -544,7 +455,7 @@ fn fail_pipeline(
             }
         }
         // Nothing is left to stamp: every reply is a failure now.
-        release(registry, telemetry, &mut batch, 0);
+        release(telemetry, &mut batch, 0);
     }
     shard.crash();
 }
@@ -558,7 +469,6 @@ fn settle_all(
     shard: &mut Shard,
     replicas: &mut ReplicaSet,
     inflight: &mut VecDeque<PendingBatch>,
-    registry: &ReplyRegistry,
     telemetry: &WorkerTelemetry,
 ) {
     if !replicas.is_empty() && shard.is_active() {
@@ -572,13 +482,13 @@ fn settle_all(
             .back()
             .map_or_else(|| shard.log().next_seq(), |b| b.end_seq);
         if !replicas.force_quorum(shard, target) {
-            fail_pipeline(shard, inflight, registry, telemetry);
+            fail_pipeline(shard, inflight, telemetry);
             return;
         }
     }
     let epoch = replicas.epoch();
     while let Some(mut batch) = inflight.pop_front() {
-        release(registry, telemetry, &mut batch, epoch);
+        release(telemetry, &mut batch, epoch);
     }
 }
 
@@ -593,7 +503,6 @@ fn commit_and_flush(
     shard: &mut Shard,
     replicas: &mut ReplicaSet,
     inflight: &mut VecDeque<PendingBatch>,
-    registry: &ReplyRegistry,
     open: &mut PendingBatch,
     telemetry: &WorkerTelemetry,
 ) {
@@ -613,7 +522,7 @@ fn commit_and_flush(
         // Unreplicated (the local group commit is the durability point) —
         // or demoted, in which case the answers are errors and need no
         // quorum.
-        release(registry, telemetry, open, replicas.epoch());
+        release(telemetry, open, replicas.epoch());
         return;
     }
     // The pipelined quorum write: seal the batch into a shared segment and
@@ -632,7 +541,7 @@ fn commit_and_flush(
         .is_some_and(|b| b.end_seq <= replicas.quorum_committed())
     {
         let mut batch = inflight.pop_front().expect("checked front");
-        release(registry, telemetry, &mut batch, replicas.epoch());
+        release(telemetry, &mut batch, replicas.epoch());
     }
     // A full window is the pipeline's backpressure: block on the oldest
     // batch's quorum (retransmitting if its acks were lost) before opening
@@ -641,10 +550,10 @@ fn commit_and_flush(
     while inflight.len() > REPLICA_PIPELINE {
         let mut batch = inflight.pop_front().expect("len checked");
         if replicas.force_quorum(shard, batch.end_seq) {
-            release(registry, telemetry, &mut batch, replicas.epoch());
+            release(telemetry, &mut batch, replicas.epoch());
         } else {
             inflight.push_front(batch);
-            fail_pipeline(shard, inflight, registry, telemetry);
+            fail_pipeline(shard, inflight, telemetry);
             return;
         }
     }
@@ -664,7 +573,6 @@ pub(crate) struct ShardCore {
     open: PendingBatch,
     /// Batches group-committed locally but awaiting quorum acks.
     inflight: VecDeque<PendingBatch>,
-    registry: Arc<ReplyRegistry>,
     telemetry: WorkerTelemetry,
     /// Commands per group-commit batch.
     batch: usize,
@@ -790,7 +698,6 @@ impl ShardCore {
             &mut self.shard,
             &mut self.replicas,
             &mut self.inflight,
-            &self.registry,
             &mut self.open,
             &self.telemetry,
         );
@@ -801,7 +708,6 @@ impl ShardCore {
             &mut self.shard,
             &mut self.replicas,
             &mut self.inflight,
-            &self.registry,
             &self.telemetry,
         );
     }
@@ -813,12 +719,7 @@ impl ShardCore {
     /// step, against the crashed shard.
     fn crash_after_panic(&mut self) {
         self.inflight.push_back(std::mem::take(&mut self.open));
-        fail_pipeline(
-            &mut self.shard,
-            &mut self.inflight,
-            &self.registry,
-            &self.telemetry,
-        );
+        fail_pipeline(&mut self.shard, &mut self.inflight, &self.telemetry);
     }
 }
 
@@ -874,7 +775,6 @@ mod tests {
             &mut shard,
             &mut replicas,
             &mut VecDeque::new(),
-            &ReplyRegistry::default(),
             &mut open,
             &telemetry.worker(0),
         );

@@ -608,8 +608,16 @@ impl FloorArbiter {
     /// no destination. Policy outcomes (denied, queued, aborted) are returned
     /// inside [`ArbitrationOutcome`], not as errors.
     pub fn arbitrate(&mut self, request: &FloorRequest) -> Result<ArbitrationOutcome> {
-        let group = self.group(request.group)?.clone();
-        let member = self.member(request.member)?.clone();
+        // Borrowed field by field, not through `group()`/`member()`, so the
+        // stats, tokens and suspensions below stay mutable alongside them.
+        let group = self
+            .groups
+            .get(request.group.0)
+            .ok_or(FloorError::UnknownGroup(request.group))?;
+        let member = self
+            .members
+            .get(request.member.0)
+            .ok_or(FloorError::UnknownMember(request.member))?;
 
         // Membership check comes first in the Z specification: a request from
         // outside the group aborts regardless of resources.
@@ -705,7 +713,8 @@ impl FloorArbiter {
                 // priority may deliver together.
                 let mut speakers = Vec::new();
                 for m in group.members() {
-                    if self.member(m)?.meets_minimum_priority() {
+                    let candidate = self.members.get(m.0).ok_or(FloorError::UnknownMember(m))?;
+                    if candidate.meets_minimum_priority() {
                         speakers.push(m);
                     }
                 }
@@ -728,7 +737,7 @@ impl FloorArbiter {
 
         // Degraded regime: suspend lower-priority members' media first.
         let suspensions = if level == ResourceLevel::Degraded {
-            let demand = Self::member_demand_kbps(&member);
+            let demand = Self::member_demand_kbps(member);
             let candidates: Vec<(MemberId, &Member, u32)> = group
                 .members()
                 .filter(|&m| m != request.member && !self.suspended.contains(&m))
