@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex, RwLock, Weak};
 use dmps_floor::arbiter::ArbiterStats;
 use dmps_floor::snapshot::EventOutcome;
 use dmps_floor::{
-    ArbiterEvent, ArbitrationOutcome, FcmMode, FloorArbiter, FloorRequest, FloorToken, GroupId,
-    InvitationStatus, MemberId, RequestKind, Resource,
+    ArbiterEvent, ArbitrationOutcome, FcmMode, FloorArbiter, FloorRequest, FloorToken,
+    GroupFloorExport, GroupId, InvitationStatus, MemberId, RequestKind, Resource,
 };
 
 use crate::directory::{entry_mut, ClusterInvitation, Directory, GroupPlacement, MemberRecord};
@@ -39,8 +39,10 @@ use crate::poison::{lock, read, write};
 use crate::queue::OverloadPolicy;
 use crate::replication::{lock_core, FollowerCore, ReplicaSet};
 use crate::ring::{HashRing, ShardId};
-use crate::session::{GroupSession, SessionEvent, SessionOutcome};
-use crate::shard::{CorruptionTarget, GlobalGroupId, GlobalMemberId, Shard, ShardView};
+use crate::session::{GroupSession, SessionEvent};
+use crate::shard::{
+    CorruptionTarget, GlobalGroupId, GlobalMemberId, HandoffExport, Shard, ShardView,
+};
 use crate::worker::{Control, ReplyTo, ShardCommand, ShardWorker};
 use dmps_telemetry::Stage as TraceStage;
 use dmps_telemetry::{MetricsRegistry, TraceSpan};
@@ -221,7 +223,7 @@ impl GlobalRequestKind {
 /// The decision for one submitted op, generic over its outcome: a floor
 /// request is answered with a plain `Decision` (an [`ArbitrationOutcome`]),
 /// a session operation with a [`SessionDecision`](crate::SessionDecision) —
-/// the same envelope around a [`SessionOutcome`].
+/// the same envelope around a [`SessionOutcome`](crate::SessionOutcome).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision<O = ArbitrationOutcome> {
     /// The request id ([`Gateway::submit`](crate::Gateway::submit) sequence
@@ -286,12 +288,11 @@ pub struct RebalanceReport {
     /// Groups migrated to their new ring placement.
     pub migrated: Vec<GlobalGroupId>,
     /// Groups whose ring placement changed but which could not move in this
-    /// pass. For [`Cluster::rebalance_idle`] that is every floor-active
-    /// group (token held or requesters queued) — drain them with
-    /// [`Cluster::rebalance_active`], which migrates live floor state
-    /// through the two-phase handoff. For `rebalance_active` itself the list
-    /// only holds groups whose source or target shard is down (or which are
-    /// already mid-handoff); retry once the shard recovers.
+    /// pass: groups whose source or target shard is down (or which are
+    /// already mid-handoff) — retry once the shard recovers — and, for
+    /// [`Cluster::rebalance_idle`], every floor-active group (token held or
+    /// requesters queued), which [`Cluster::rebalance_active`] moves with
+    /// its live floor state.
     pub deferred: Vec<GlobalGroupId>,
 }
 
@@ -318,17 +319,12 @@ pub struct HandoffTicket {
     source_local: GroupId,
     target: ShardId,
     parent: Option<GlobalGroupId>,
-    name: String,
-    mode: FcmMode,
     roster: Vec<GlobalMemberId>,
     chair: Option<GlobalMemberId>,
     holder: Option<GlobalMemberId>,
     queue: Vec<GlobalMemberId>,
-    grants: u64,
-    content: GroupSession,
-    floor_journal: Vec<(u64, Arc<ArbitrationOutcome>)>,
-    session_journal: Vec<(u64, Arc<SessionOutcome>)>,
-    pinned_seq: u64,
+    /// The source's export, in the source's dense ids.
+    export: HandoffExport,
 }
 
 impl HandoffTicket {
@@ -361,7 +357,7 @@ impl HandoffTicket {
     /// reflected in the exported state; the freeze guarantees no later event
     /// touches the group before commit or abort).
     pub fn pinned_seq(&self) -> u64 {
-        self.pinned_seq
+        self.export.pinned_seq
     }
 }
 
@@ -877,35 +873,33 @@ impl Core {
 
     // ----- membership and groups -------------------------------------------
 
+    /// Creates an empty group on `shard` and returns where it lives (its new
+    /// local id); placing it in the directory is the caller's step.
     fn create_group_on(
         &self,
-        id: GlobalGroupId,
         shard: ShardId,
         name: String,
         mode: FcmMode,
         parent: Option<GlobalGroupId>,
-    ) -> Result<()> {
+    ) -> Result<GroupPlacement> {
         let outcome = self.with_shard(shard, move |s| {
             s.apply(ArbiterEvent::CreateGroup { name, mode })
         })?;
         let EventOutcome::GroupCreated(local) = outcome else {
             unreachable!("CreateGroup yields GroupCreated");
         };
-        self.directory.place_group(
-            id,
-            GroupPlacement {
-                shard,
-                local,
-                parent,
-            },
-        );
-        Ok(())
+        Ok(GroupPlacement {
+            shard,
+            local,
+            parent,
+        })
     }
 
     pub(crate) fn create_group(&self, name: String, mode: FcmMode) -> Result<GlobalGroupId> {
         let id = GlobalGroupId(self.directory.alloc_group());
         let shard = self.directory.shard_for(id.0);
-        self.create_group_on(id, shard, name, mode, None)?;
+        let placement = self.create_group_on(shard, name, mode, None)?;
+        self.directory.place_group(id, placement);
         Ok(id)
     }
 
@@ -1025,17 +1019,12 @@ impl Core {
         let sub = GlobalGroupId(self.directory.alloc_group());
         let shard = target.unwrap_or_else(|| self.directory.shard_for(sub.0));
         let from_name = self.directory.member_name(from)?;
-        self.create_group_on(
-            sub,
-            shard,
-            format!("{from_name}-{mode}"),
-            mode,
-            Some(parent),
-        )?;
+        let name = format!("{from_name}-{mode}");
+        let placement = self.create_group_on(shard, name, mode, Some(parent))?;
+        self.directory.place_group(sub, placement);
         // The inviter joins (and chairs, by first-join convention) the
         // sub-group immediately; the invitee joins on acceptance.
-        let placement = self.directory.placement(sub)?;
-        self.ensure_on_shard(from, placement.shard, placement.local)?;
+        self.ensure_on_shard(from, shard, placement.local)?;
         let invitation = self.directory.push_invitation(ClusterInvitation {
             from,
             to,
@@ -1095,96 +1084,46 @@ impl Core {
         id
     }
 
-    /// Every group whose current placement differs from its ring placement —
-    /// the candidate set both rebalancing passes work from.
-    fn displaced_groups(&self) -> Vec<(GlobalGroupId, GroupPlacement, ShardId)> {
+    /// Every group whose current placement differs from its ring placement,
+    /// with that ring placement — the candidates of a rebalancing pass.
+    fn displaced_groups(&self) -> Vec<(GlobalGroupId, ShardId)> {
         self.directory
             .placements_snapshot()
             .into_iter()
             .filter_map(|(g, p)| {
                 let target = self.directory.shard_for(g.0);
-                (target != p.shard).then_some((g, p, target))
+                (target != p.shard).then_some((g, target))
             })
             .collect()
     }
 
-    pub(crate) fn rebalance_idle(&self) -> Result<RebalanceReport> {
-        let candidates = self.displaced_groups();
+    /// One rebalancing pass: every ring-displaced group is prepared toward
+    /// its ring placement and committed. With `idle_only`, a group whose
+    /// frozen export shows floor activity — token held or requesters
+    /// queued — is aborted instead, so the check is atomic with the move. A
+    /// group that does not move is serving on its source again and lands in
+    /// `deferred`.
+    fn rebalance(&self, idle_only: bool) -> RebalanceReport {
         let mut report = RebalanceReport::default();
-        for (group, placement, target) in candidates {
-            if !self.is_shard_active(placement.shard) || !self.is_shard_active(target) {
-                report.deferred.push(group);
-                continue;
-            }
-            let local = placement.local;
-            // One shard round-trip inspects the floor state and, when idle,
-            // captures the roster atomically with respect to that shard.
-            let idle_roster: Result<Option<(String, FcmMode, Vec<MemberId>)>> =
-                self.with_shard(placement.shard, move |s| {
-                    let token = s.arbiter().token(local)?;
-                    if token.holder().is_some() || token.queue_len() > 0 {
-                        return Ok(None); // pinned: active floor state
-                    }
-                    let old = s.arbiter().group(local)?;
-                    Ok(Some((
-                        old.name.clone(),
-                        old.mode,
-                        old.members().collect::<Vec<_>>(),
-                    )))
-                });
-            let Some((name, mode, locals)) = idle_roster? else {
-                report.deferred.push(group);
-                continue;
+        for (group, target) in self.displaced_groups() {
+            let moved = match self.handoff_prepare(group, Some(target)) {
+                Ok(ticket)
+                    if idle_only && (ticket.holder.is_some() || !ticket.queue.is_empty()) =>
+                {
+                    let _ = self.handoff_abort(ticket);
+                    false
+                }
+                // `handoff_commit` aborts internally on failure.
+                Ok(ticket) => self.handoff_commit(ticket).is_ok(),
+                Err(_) => false,
             };
-            // Map the group's local members back to global ids.
-            let roster: Vec<GlobalMemberId> = locals
-                .iter()
-                .filter_map(|&m| self.directory.global_of(placement.shard, m))
-                .collect();
-            // Re-create on the target shard and move the roster over.
-            self.create_group_on(group, target, name, mode, placement.parent)?;
-            let new_local = self.directory.placement(group)?.local;
-            for member in &roster {
-                self.ensure_on_shard(*member, target, new_local)?;
+            if moved {
+                report.migrated.push(group);
+            } else {
+                report.deferred.push(group);
             }
-            // Empty the husk on the old shard so stale routing fails closed.
-            for member in &roster {
-                let local_id = self.directory.local_member(*member, placement.shard)?;
-                self.with_shard(placement.shard, move |s| {
-                    s.apply(ArbiterEvent::LeaveGroup {
-                        group: local,
-                        member: local_id,
-                    })
-                })?;
-            }
-            // The group's slice of the decision journal follows it, so a
-            // gateway retry of a pre-migration request id still replays on
-            // the new owner instead of double-applying.
-            let journal = self.with_shard(placement.shard, move |s| s.extract_dedup(group));
-            if !journal.is_empty() {
-                self.with_shard(target, move |s| s.install_dedup(group, journal));
-            }
-            // Session state migrates too: the chat/whiteboard/annotation logs
-            // and media schedule (logged as purge/install so replay on either
-            // shard stays deterministic), plus the session decision journal.
-            // Install on the target *before* purging the source — the purge
-            // is durably logged, so the reverse order would destroy the only
-            // copy if the install failed.
-            let content = self.with_shard(placement.shard, move |s| s.session().view(group));
-            if !content.is_empty() {
-                self.with_shard(target, move |s| s.install_session(group, content))?;
-                let _ = self.with_shard(placement.shard, move |s| s.extract_session(group))?;
-            }
-            let session_journal =
-                self.with_shard(placement.shard, move |s| s.extract_session_dedup(group));
-            if !session_journal.is_empty() {
-                self.with_shard(target, move |s| {
-                    s.install_session_dedup(group, session_journal)
-                });
-            }
-            report.migrated.push(group);
         }
-        Ok(report)
+        report
     }
 
     // ----- live handoff (two-phase migration of active groups) --------------
@@ -1287,150 +1226,99 @@ impl Core {
                 .global_of(placement.shard, m)
                 .expect("exported member has a reverse directory mapping")
         };
+        let floor = &export.floor;
         Ok(HandoffTicket {
             group,
             source: placement.shard,
             source_local: local,
             target,
             parent: placement.parent,
-            name: export.floor.name,
-            mode: export.floor.mode,
-            roster: export.floor.members.iter().copied().map(global).collect(),
-            chair: export.floor.chair.map(global),
-            holder: export.floor.token.holder().map(global),
-            queue: export.floor.token.queue().map(global).collect(),
-            grants: export.floor.token.grant_count(),
-            content: export.content,
-            floor_journal: export.floor_journal,
-            session_journal: export.session_journal,
-            pinned_seq: export.pinned_seq,
+            roster: floor.members.iter().copied().map(global).collect(),
+            chair: floor.chair.map(global),
+            holder: floor.token.holder().map(global),
+            queue: floor.token.queue().map(global).collect(),
+            export,
         })
     }
 
-    /// Installs the ticket's state on the target shard: group + roster via
-    /// the ordinary logged floor events, the token via a logged
-    /// [`ArbiterEvent::RestoreToken`], session content via a logged install,
-    /// journal slices into the dedup windows. Returns the group's dense id
-    /// on the target.
+    /// Installs the ticket's state on the target shard: the group and its
+    /// roster through the ordinary logged floor events, then token, chair,
+    /// session content and journal slices in one [`Shard::handoff_install`]
+    /// step. Returns the group's placement on the target.
     ///
     /// Takes the ticket mutably so the bulk payloads (session content,
-    /// journal slices, name) are *moved* into the install instead of deep-
-    /// copied; the scalar routing fields the commit still needs afterwards
-    /// stay behind.
-    fn install_handoff(&self, ticket: &mut HandoffTicket) -> Result<GroupId> {
-        let target = ticket.target;
-        let (name, mode) = (std::mem::take(&mut ticket.name), ticket.mode);
-        let outcome = self.with_shard(target, move |s| {
-            s.apply(ArbiterEvent::CreateGroup { name, mode })
-        })?;
-        let EventOutcome::GroupCreated(new_local) = outcome else {
-            unreachable!("CreateGroup yields GroupCreated");
-        };
-        for &member in &ticket.roster {
-            self.ensure_on_shard(member, target, new_local)?;
-        }
-        let holder = ticket
-            .holder
-            .map(|m| self.directory.local_member(m, target))
-            .transpose()?;
-        let queue = ticket
-            .queue
+    /// journal slices) are *moved* into the install instead of deep-copied;
+    /// the source-side floor export the retire step still needs stays
+    /// behind.
+    fn install_handoff(&self, ticket: &mut HandoffTicket) -> Result<GroupPlacement> {
+        let (group, target) = (ticket.group, ticket.target);
+        let source = &mut ticket.export;
+        let (name, mode) = (source.floor.name.clone(), source.floor.mode);
+        let placement = self.create_group_on(target, name, mode, ticket.parent)?;
+        let local = placement.local;
+        let mut members = ticket
+            .roster
             .iter()
-            .map(|&m| self.directory.local_member(m, target))
+            .map(|&m| self.ensure_on_shard(m, target, local))
             .collect::<Result<Vec<_>>>()?;
-        let token = FloorToken::from_parts(holder, queue, ticket.grants);
-        self.with_shard(target, move |s| {
-            s.apply(ArbiterEvent::RestoreToken {
-                group: new_local,
+        members.sort_unstable();
+        let on_target = |m| self.directory.local_member(m, target);
+        let holder = ticket.holder.map(on_target).transpose()?;
+        let queue = ticket.queue.iter().map(|&m| on_target(m));
+        let token = FloorToken::from_parts(
+            holder,
+            queue.collect::<Result<Vec<_>>>()?,
+            source.floor.token.grant_count(),
+        );
+        let export = HandoffExport {
+            floor: GroupFloorExport {
+                name: std::mem::take(&mut source.floor.name),
+                mode: source.floor.mode,
+                members,
+                chair: ticket.chair.map(on_target).transpose()?,
                 token,
-            })
-        })?;
-        // Re-seat the chair explicitly: the add/join path above only elects
-        // chairs by role, which cannot express an inviter-chaired sub-group
-        // (and elects nobody when the member was already instantiated on the
-        // target and arrived via JoinGroup).
-        let chair = ticket
-            .chair
-            .map(|m| self.directory.local_member(m, target))
-            .transpose()?;
-        self.with_shard(target, move |s| {
-            s.apply(ArbiterEvent::RestoreChair {
-                group: new_local,
-                chair,
-            })
-        })?;
-        if !ticket.content.is_empty() {
-            let (group, content) = (ticket.group, std::mem::take(&mut ticket.content));
-            self.with_shard(target, move |s| s.install_session(group, content))?;
-        }
-        if !ticket.floor_journal.is_empty() {
-            let (group, journal) = (ticket.group, std::mem::take(&mut ticket.floor_journal));
-            self.with_shard(target, move |s| s.install_dedup(group, journal));
-        }
-        if !ticket.session_journal.is_empty() {
-            let (group, journal) = (ticket.group, std::mem::take(&mut ticket.session_journal));
-            self.with_shard(target, move |s| s.install_session_dedup(group, journal));
-        }
-        Ok(new_local)
-    }
-
-    /// Retires the source copy after a successful install: empties the
-    /// roster (each leave logged; the husk's token drains with the roster —
-    /// the live token already moved as a copy), purges the session content
-    /// (logged), drops the journal slices, and logs the source-side commit
-    /// that lifts the freeze.
-    fn purge_handoff_source(&self, ticket: &HandoffTicket) -> Result<()> {
-        let (group, source, local) = (ticket.group, ticket.source, ticket.source_local);
-        for &member in &ticket.roster {
-            let member_local = self.directory.local_member(member, source)?;
-            self.with_shard(source, move |s| {
-                s.apply(ArbiterEvent::LeaveGroup {
-                    group: local,
-                    member: member_local,
-                })
-            })?;
-        }
-        let _ = self.with_shard(source, move |s| s.extract_session(group))?;
-        let _ = self.with_shard(source, move |s| s.extract_dedup(group));
-        let _ = self.with_shard(source, move |s| s.extract_session_dedup(group));
-        self.with_shard(source, move |s| s.handoff_commit_source(group))
+            },
+            content: std::mem::take(&mut source.content),
+            floor_journal: std::mem::take(&mut source.floor_journal),
+            session_journal: std::mem::take(&mut source.session_journal),
+            pinned_seq: source.pinned_seq,
+        };
+        self.with_shard(target, move |s| s.handoff_install(group, local, export))?;
+        Ok(placement)
     }
 
     /// Phase 2: installs on the destination, flips the directory placement,
-    /// retires the source copy, and re-drives parked submissions. On a
-    /// destination failure the handoff aborts internally (the source
-    /// unfreezes and resumes serving) and the error is returned.
+    /// retires the source copy in one [`Shard::handoff_commit_source`] step,
+    /// and re-drives parked submissions. On a destination failure the
+    /// handoff aborts internally (the source unfreezes and resumes serving)
+    /// and the error is returned.
     pub(crate) fn handoff_commit(&self, mut ticket: HandoffTicket) -> Result<()> {
         let group = ticket.group;
-        match self.install_handoff(&mut ticket) {
-            Ok(new_local) => {
-                // The placement swap: from this instant the directory routes
-                // the group to its new owner. Parked ops re-driven below (and
-                // every later submission) land there.
-                self.directory.place_group(
-                    group,
-                    GroupPlacement {
-                        shard: ticket.target,
-                        local: new_local,
-                        parent: ticket.parent,
-                    },
-                );
-                // Best-effort: a source that crashed mid-handoff keeps its
-                // frozen husk (it fails closed until recovery; the directory
-                // no longer routes to it), and a later recovery replays the
-                // freeze without a commit — still exactly one serving copy.
-                let _ = self.purge_handoff_source(&ticket);
-                self.unfreeze_and_redrive(group);
-                Ok(())
-            }
+        let placement = match self.install_handoff(&mut ticket) {
+            Ok(placement) => placement,
             Err(e) => {
                 // Destination failure: abort back to the source. A partially
                 // installed destination group is an orphan its directory
                 // never points at — harmless, and its shard was down anyway.
                 let _ = self.handoff_abort(ticket);
-                Err(e)
+                return Err(e);
             }
-        }
+        };
+        // The placement swap: from this instant the directory routes the
+        // group to its new owner. Parked ops re-driven below (and every later
+        // submission) land there.
+        self.directory.place_group(group, placement);
+        // Best-effort: a source that crashed mid-handoff keeps its frozen
+        // husk (it fails closed until recovery; the directory no longer
+        // routes to it), and a later recovery replays the freeze without a
+        // commit — still exactly one serving copy.
+        let (source, source_local) = (ticket.source, ticket.source_local);
+        let members = ticket.export.floor.members;
+        let _ = self.with_shard(source, move |s| {
+            s.handoff_commit_source(group, source_local, &members)
+        });
+        self.unfreeze_and_redrive(group);
+        Ok(())
     }
 
     /// Abandons a prepared handoff: lifts the source freeze (logged) and
@@ -1440,30 +1328,6 @@ impl Core {
         let result = self.with_shard(source, move |s| s.handoff_abort(group));
         self.unfreeze_and_redrive(group);
         result
-    }
-
-    pub(crate) fn rebalance_active(&self) -> Result<RebalanceReport> {
-        let mut report = RebalanceReport::default();
-        for (group, placement, target) in self.displaced_groups() {
-            if !self.is_shard_active(placement.shard) || !self.is_shard_active(target) {
-                report.deferred.push(group);
-                continue;
-            }
-            let ticket = match self.handoff_prepare(group, Some(target)) {
-                Ok(ticket) => ticket,
-                Err(_) => {
-                    report.deferred.push(group);
-                    continue;
-                }
-            };
-            // `handoff_commit` aborts internally on failure, so a deferred
-            // group is back to serving on its source and safe to retry.
-            match self.handoff_commit(ticket) {
-                Ok(()) => report.migrated.push(group),
-                Err(_) => report.deferred.push(group),
-            }
-        }
-        Ok(report)
     }
 
     // ----- invariants -------------------------------------------------------
@@ -1806,33 +1670,25 @@ impl Cluster {
         self.core.add_shard()
     }
 
-    /// Migrates every group whose ring placement changed **and** whose floor
-    /// state is idle (no token holder, no queued requesters) to its new
-    /// shard. Groups that cannot move this way — floor-active, or with a
-    /// failed source/target shard — are **not** migrated; they are reported
-    /// in the result's `deferred` list, which [`Cluster::rebalance_active`]
-    /// drains by moving live floor state through the two-phase handoff.
+    /// The live handoff of [`Cluster::rebalance_active`], filtered to idle
+    /// groups: every group whose ring placement changed is prepared (frozen
+    /// and exported), and committed only if the export shows an idle floor
+    /// (no token holder, no queued requesters). A floor-active group is
+    /// aborted back to its source and reported in `deferred`, as is any
+    /// group whose source or target shard is down; `rebalance_active` drains
+    /// that list.
     ///
-    /// Requests still queued for a migrated group keep routing to the old
-    /// shard, where the group is left empty; they fail closed (aborted as
-    /// not-joined) rather than double-granting. Collect outstanding decisions
-    /// before rebalancing to avoid that. A migrated group's slice of the
-    /// decision journal moves with it, so gateway retries of pre-migration
-    /// request ids still replay instead of double-applying.
-    ///
-    /// **Concurrency contract:** rebalancing is an administrative operation;
-    /// gateways must stop submitting to the groups being moved until it
-    /// returns. The idle check and the migration are separate steps on the
-    /// source shard, so a floor granted concurrently in that window would be
-    /// destroyed by the move — the concurrent-safe path is
-    /// [`Cluster::rebalance_active`], whose prepare phase freezes each group
-    /// before anything is copied.
+    /// Because the idle check reads the frozen export, it is atomic with the
+    /// move, and gateways may keep submitting: streamed submissions that
+    /// arrive while a group is frozen park and are re-driven toward wherever
+    /// it serves next. A moved group keeps its chair, its token's grant
+    /// count, its session content and both journal slices.
     ///
     /// # Errors
     ///
-    /// Returns shard errors; on error, already-migrated groups stay migrated.
+    /// None today; per-group failures are reported via `deferred`.
     pub fn rebalance_idle(&mut self) -> Result<RebalanceReport> {
-        self.core.rebalance_idle()
+        Ok(self.core.rebalance(true))
     }
 
     /// Migrates **every** group whose ring placement changed — including
@@ -1890,10 +1746,9 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns directory errors; per-group failures are reported via
-    /// `deferred`, not as errors.
+    /// None today; per-group failures are reported via `deferred`.
     pub fn rebalance_active(&mut self) -> Result<RebalanceReport> {
-        self.core.rebalance_active()
+        Ok(self.core.rebalance(false))
     }
 
     // ----- phase-level handoff (advanced; `rebalance_active` drives both
@@ -1951,7 +1806,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SessionOp;
+    use crate::session::{SessionOp, SessionOutcome};
     use dmps_floor::{Member, Role};
 
     fn cluster_with_groups(
@@ -2491,7 +2346,7 @@ mod tests {
         // The handoff export, and what the destination serves after commit.
         let target = ShardId((shard.0 + 1) % 2);
         let ticket = cluster.handoff_prepare(g, Some(target)).unwrap();
-        held.push(first(ticket.content.clone()));
+        held.push(first(ticket.export.content.clone()));
         cluster.handoff_commit(ticket).unwrap();
         held.push(first(cluster.session_view(g).unwrap()));
         assert_eq!(held.len(), 9);

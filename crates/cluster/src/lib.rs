@@ -114,17 +114,19 @@
 //!   and (optionally) retransmits unanswered requests after failover,
 //!   exercising the dedup window end to end.
 //! * **Scale-out & live migration** — [`Cluster::add_shard`] grows the ring
-//!   and spawns the new shard's pipeline; [`Cluster::rebalance_idle`]
-//!   migrates idle groups to it and reports floor-active groups as
-//!   `deferred` ([`RebalanceReport`]); [`Cluster::rebalance_active`] drains
-//!   that list by moving *live* floor state — held token, FIFO queue,
-//!   session content, journal slices — through a two-phase handoff
-//!   (prepare freezes the group on the source and exports at a pinned log
-//!   position; commit installs on the destination via ordinary logged
-//!   events, flips the directory placement, and re-drives the submissions
-//!   parked during the frozen window; abort resumes the source). The
-//!   freeze guarantees at most one serving copy of a token at any instant —
-//!   the paper's one-holder invariant, preserved across shard moves.
+//!   and spawns the new shard's pipeline. Every group move is one two-phase
+//!   handoff carrying the *live* floor state — held token, FIFO queue,
+//!   chair, session content, journal slices (prepare freezes the group on
+//!   the source and exports at a pinned log position; commit installs on
+//!   the destination in one shard step after the roster's ordinary logged
+//!   events, flips the directory placement, retires the source in one
+//!   step, and re-drives the submissions parked during the frozen window;
+//!   abort resumes the source). [`Cluster::rebalance_idle`] is that
+//!   handoff filtered to idle groups, reporting floor-active ones as
+//!   `deferred` ([`RebalanceReport`]); [`Cluster::rebalance_active`] moves
+//!   every displaced group. The freeze guarantees at most one serving copy
+//!   of a token at any instant — the paper's one-holder invariant,
+//!   preserved across shard moves.
 //!
 //! The surface is split by actor, as the paper splits participants from the
 //! operator of the floor-control server: a [`Gateway`] carries participant

@@ -25,8 +25,10 @@
 //! floor-active groups between shards: [`Shard::handoff_prepare`] freezes a
 //! group (durably, via [`ShardEvent::HandoffPrepare`]) and exports its
 //! complete state ([`HandoffExport`]) at a pinned log position;
-//! [`Shard::handoff_commit_source`] / [`Shard::handoff_abort`] log the
-//! matching resolution. Frozen groups refuse ingest with
+//! [`Shard::handoff_install`] applies that export on the destination in one
+//! step, and [`Shard::handoff_commit_source`] (retiring the source copy in
+//! one step) / [`Shard::handoff_abort`] log the matching resolution. Frozen
+//! groups refuse ingest with
 //! [`crate::ClusterError::GroupFrozen`] — so no matter which side crashes
 //! mid-handoff, replay reconstructs a state in which at most one shard ever
 //! serves the group's token.
@@ -66,7 +68,7 @@ use dmps_floor::arbiter::ArbiterStats;
 use dmps_floor::snapshot::EventOutcome;
 use dmps_floor::{
     ArbiterDelta, ArbiterDirty, ArbiterEvent, ArbiterSnapshot, ArbitrationOutcome, FloorArbiter,
-    FloorRequest,
+    FloorRequest, GroupId, MemberId,
 };
 use dmps_wire::Wire;
 
@@ -813,8 +815,8 @@ impl Wire for SnapshotDelta {
 /// slices of both decision journals.
 ///
 /// Member ids inside `floor` are dense ids of the **source** arbiter; the
-/// coordinator translates them to global ids (and then to the destination's
-/// dense ids) before installing.
+/// coordinator translates them to global ids, and then to the destination's
+/// dense ids for [`Shard::handoff_install`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HandoffExport {
     /// The live floor state of the group on the source shard.
@@ -1387,41 +1389,6 @@ impl Shard {
         }
     }
 
-    /// Removes and returns the journaled floor decisions for a group (the
-    /// shard is losing the group to a migration; the entries must follow
-    /// it).
-    pub fn extract_dedup(&mut self, group: GlobalGroupId) -> Vec<(u64, Arc<ArbitrationOutcome>)> {
-        self.dedup.extract_group(group)
-    }
-
-    /// Installs floor journal entries for a group this shard is taking over.
-    pub fn install_dedup(
-        &mut self,
-        group: GlobalGroupId,
-        entries: Vec<(u64, Arc<ArbitrationOutcome>)>,
-    ) {
-        self.dedup.install(group, entries);
-    }
-
-    /// Removes and returns the journaled session decisions for a group (the
-    /// migration path, like [`Shard::extract_dedup`]).
-    pub fn extract_session_dedup(
-        &mut self,
-        group: GlobalGroupId,
-    ) -> Vec<(u64, Arc<SessionOutcome>)> {
-        self.session_dedup.extract_group(group)
-    }
-
-    /// Installs session journal entries for a group this shard is taking
-    /// over.
-    pub fn install_session_dedup(
-        &mut self,
-        group: GlobalGroupId,
-        entries: Vec<(u64, Arc<SessionOutcome>)>,
-    ) {
-        self.session_dedup.install(group, entries);
-    }
-
     /// Removes and returns a group's session content because the group is
     /// migrating away. The removal is logged ([`ShardEvent::SessionPurge`]),
     /// so a crash-and-replay on this shard does not resurrect content that
@@ -1484,7 +1451,7 @@ impl Shard {
     pub fn handoff_prepare(
         &mut self,
         group: GlobalGroupId,
-        local: dmps_floor::GroupId,
+        local: GroupId,
     ) -> Result<HandoffExport> {
         if self.state != ShardState::Active {
             return Err(ClusterError::ShardDown(self.id));
@@ -1505,10 +1472,54 @@ impl Shard {
         Ok(export)
     }
 
+    /// Phase 2 of a live handoff, destination side: the group and its roster
+    /// already exist here as `local` (created through ordinary floor
+    /// events), and `export` is the source's export re-keyed to this shard's
+    /// ids. One step restores the token and the chair (logged
+    /// [`ArbiterEvent::RestoreToken`] / [`ArbiterEvent::RestoreChair`] — the
+    /// add/join path elects chairs only by role, and nobody when a member
+    /// was already instantiated here), installs the session content (logged)
+    /// and takes over both journal slices.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::ShardDown`] when the shard is failed, or the
+    /// floor error of a token or chair the roster cannot hold.
+    pub fn handoff_install(
+        &mut self,
+        group: GlobalGroupId,
+        local: GroupId,
+        export: HandoffExport,
+    ) -> Result<()> {
+        let HandoffExport {
+            floor,
+            content,
+            floor_journal,
+            session_journal,
+            ..
+        } = export;
+        self.apply(ArbiterEvent::RestoreToken {
+            group: local,
+            token: floor.token,
+        })?;
+        self.apply(ArbiterEvent::RestoreChair {
+            group: local,
+            chair: floor.chair,
+        })?;
+        if !content.is_empty() {
+            self.install_session(group, content)?;
+        }
+        self.dedup.install(group, floor_journal);
+        self.session_dedup.install(group, session_journal);
+        Ok(())
+    }
+
     /// Phase 2 of a live handoff, source side: the destination has installed
-    /// the group, so this shard retires its copy — the roster must already
-    /// have been emptied and the session content purged (both via their own
-    /// logged events); this logs [`ShardEvent::HandoffCommit`] and lifts the
+    /// the group, so this shard retires its copy in one step — each of
+    /// `members` (the roster, in this shard's ids) leaves `local` (logged;
+    /// the husk's token drains with the roster, the live token moved as a
+    /// copy), the session content is purged (logged), both journal slices
+    /// are dropped, and a logged [`ShardEvent::HandoffCommit`] lifts the
     /// freeze so replay knows the group left for good.
     ///
     /// # Errors
@@ -1517,10 +1528,21 @@ impl Shard {
     /// husk then stays frozen — it fails closed until recovery replays the
     /// prepare without a commit, and the coordinator's directory flip keeps
     /// routing traffic to the new owner anyway).
-    pub fn handoff_commit_source(&mut self, group: GlobalGroupId) -> Result<()> {
-        if self.state != ShardState::Active {
-            return Err(ClusterError::ShardDown(self.id));
+    pub fn handoff_commit_source(
+        &mut self,
+        group: GlobalGroupId,
+        local: GroupId,
+        members: &[MemberId],
+    ) -> Result<()> {
+        for &member in members {
+            self.apply(ArbiterEvent::LeaveGroup {
+                group: local,
+                member,
+            })?;
         }
+        self.extract_session(group)?;
+        self.dedup.extract_group(group);
+        self.session_dedup.extract_group(group);
         if self.frozen.remove(&group) {
             self.commit(ShardEvent::HandoffCommit(group));
         }
@@ -2525,7 +2547,9 @@ mod tests {
         shard.recover().unwrap();
         assert!(shard.is_frozen(GlobalGroupId(0)));
         // Commit retires the husk; the unfreeze is durable too.
-        shard.handoff_commit_source(GlobalGroupId(0)).unwrap();
+        shard
+            .handoff_commit_source(GlobalGroupId(0), GroupId(0), &[])
+            .unwrap();
         shard.crash();
         shard.recover().unwrap();
         assert!(!shard.is_frozen(GlobalGroupId(0)));
@@ -2816,7 +2840,9 @@ mod tests {
         shard.handoff_prepare(GlobalGroupId(0), GroupId(0)).unwrap();
         let content = shard.extract_session(GlobalGroupId(0)).unwrap();
         assert!(content.is_some(), "the chat line migrated out");
-        shard.handoff_commit_source(GlobalGroupId(0)).unwrap();
+        shard
+            .handoff_commit_source(GlobalGroupId(0), GroupId(0), &[])
+            .unwrap();
         shard.take_delta();
         let arbiter = shard.arbiter().clone();
         let session = shard.session().clone();

@@ -10,11 +10,12 @@
 //! statistics and the surviving session state.
 //!
 //! The campus then **scales out under load**: a fifth shard joins
-//! (`add_shard`), `rebalance_idle` moves the idle groups and defers the
-//! token-pinned ones, and `rebalance_active` drains that deferred list via
-//! the two-phase live handoff — held tokens, request queues, session logs
-//! and journal slices all migrate intact, verified per shard via
-//! `shard_view` and `check_invariants`.
+//! (`add_shard`), and every move is one two-phase live handoff:
+//! `rebalance_idle` commits the handoffs of idle groups and defers the
+//! token-pinned ones, and `rebalance_active` drains that deferred list —
+//! held tokens, request queues, chairs, session logs and journal slices all
+//! migrate intact, verified per shard via `shard_view` and
+//! `check_invariants`.
 //!
 //! Run with: `cargo run --example sharded_campus_lectures`
 
@@ -219,9 +220,10 @@ fn main() {
     // ----- scale-out: add a shard and rebalance the live campus onto it -----
     //
     // Many lectures still hold their floor tokens (Equal Control teachers and
-    // students mid-pass), so the idle pass alone cannot spread the load; the
-    // two-phase live handoff migrates the token-pinned groups too, with no
-    // lost or duplicated decision.
+    // students mid-pass). Both passes run the same two-phase live handoff;
+    // the idle pass commits only groups whose frozen export shows an idle
+    // floor, and the active pass moves the token-pinned rest, with no lost
+    // or duplicated decision.
     // `ClusterSim::add_shard` (not the bare cluster call) so the new shard
     // also gets its primary + standby hosts on the simulated network.
     let new = sim.add_shard(Link::lan());

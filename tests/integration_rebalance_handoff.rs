@@ -8,14 +8,17 @@
 //!   every phase;
 //! * a seeded mid-handoff crash of either side recovers deterministically;
 //! * `RebalanceReport::deferred` is empty after `rebalance_active` on a busy
-//!   cluster.
+//!   cluster;
+//! * `rebalance_idle` is the same handoff filtered to idle groups, so it may
+//!   race streamed submissions without losing or doubling a floor.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use dmps_cluster::{
     Cluster, ClusterConfig, ClusterSim, Decision, GlobalGroupId, GlobalMemberId, GlobalRequest,
-    SessionOp, ShardId,
+    HashRing, SessionOp, ShardId,
 };
 use dmps_floor::{ArbitrationOutcome, FcmMode, Member, Role};
 use dmps_simnet::{Link, SimTime};
@@ -287,4 +290,113 @@ fn mid_handoff_destination_crash_is_deterministic_and_consistent() {
     assert_eq!(decisions, 50, "every request answered exactly once");
     let rerun = crash_mid_handoff(23, false);
     assert_eq!((shards, decisions, committed, aborted, owner), rerun);
+}
+
+/// `rebalance_idle` racing streamed floor traffic: a gateway thread streams
+/// waves of speak(a), speak(b), release(a), release(b) at every displaced
+/// group while the idle pass runs. The idle check reads each group's frozen
+/// export, so a group caught mid-wave is deferred and one caught idle moves
+/// with its parked submissions re-driven behind it. Either way every
+/// submission is answered exactly once, each wave decides exactly as one
+/// token would (a second holder would turn b's speak into a grant), and no
+/// shard keeps a holder in a group it no longer serves.
+#[test]
+fn idle_pass_races_streamed_submissions() {
+    let config = ClusterConfig::with_shards(SHARDS);
+    let mut cluster = Cluster::new(config);
+    let mut lectures = Vec::new();
+    for g in 0..GROUPS {
+        let gid = cluster
+            .create_group(format!("lecture-{g}"), FcmMode::EqualControl)
+            .unwrap();
+        let pair: Vec<_> = (0..2)
+            .map(|m| {
+                let member = Member::new(format!("u{g}-{m}"), Role::Participant);
+                let member = cluster.register_member(member);
+                cluster.join_group(gid, member).unwrap();
+                member
+            })
+            .collect();
+        lectures.push((gid, pair));
+    }
+    cluster.add_shard();
+    let mut ring = HashRing::new(SHARDS, config.vnodes);
+    ring.add_shard();
+    lectures.retain(|(g, _)| ring.shard_for(g.0) != cluster.placement(*g).unwrap().shard);
+    assert!(!lectures.is_empty(), "scale-out displaces groups");
+    let before: BTreeMap<GlobalGroupId, _> = lectures
+        .iter()
+        .map(|(g, _)| (*g, cluster.placement(*g).unwrap()))
+        .collect();
+
+    let gateway = cluster.gateway();
+    let (started, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+    let (report, submitted, decided) = std::thread::scope(|scope| {
+        let ingest = scope.spawn(|| {
+            let (mut submitted, mut decided) = (BTreeMap::new(), Vec::new());
+            while !stop.load(Ordering::Relaxed) {
+                for (g, pair) in &lectures {
+                    let wave = [
+                        GlobalRequest::speak(*g, pair[0]),
+                        GlobalRequest::speak(*g, pair[1]),
+                        GlobalRequest::release_floor(*g, pair[0]),
+                        GlobalRequest::release_floor(*g, pair[1]),
+                    ];
+                    for (step, request) in wave.into_iter().enumerate() {
+                        submitted.insert(gateway.submit(request).unwrap(), step);
+                    }
+                }
+                started.store(true, Ordering::Relaxed);
+                decided.extend(gateway.collect_decisions(4 * lectures.len()).unwrap());
+            }
+            (submitted, decided)
+        });
+        while !started.load(Ordering::Relaxed) {
+            std::thread::yield_now();
+        }
+        let report = cluster.rebalance_idle().unwrap();
+        stop.store(true, Ordering::Relaxed);
+        let (submitted, decided) = ingest.join().unwrap();
+        (report, submitted, decided)
+    });
+    cluster.check_invariants().unwrap();
+
+    // Every submission answered exactly once, and nothing more arrives.
+    let answered: BTreeSet<u64> = decided.iter().map(|d| d.seq).collect();
+    assert_eq!(answered.len(), decided.len(), "one reply per submission");
+    assert!(answered.iter().eq(submitted.keys()));
+    assert!(gateway.try_recv_decision().is_none());
+    // Each wave decided as one token does: a grants, b queues, a's release
+    // promotes b, b's release hands the floor to nobody.
+    for decision in &decided {
+        let outcome = decision.outcome.as_deref().unwrap();
+        let ok = match (submitted[&decision.seq], outcome) {
+            (0, ArbitrationOutcome::Granted { .. }) => true,
+            (1, ArbitrationOutcome::Queued { position: 1, .. }) => true,
+            (2, ArbitrationOutcome::Granted { speakers, .. }) => speakers.len() == 1,
+            (3, ArbitrationOutcome::Granted { speakers, .. }) => speakers.is_empty(),
+            _ => false,
+        };
+        assert!(
+            ok,
+            "{} step {}: {outcome:?}",
+            decision.group, submitted[&decision.seq]
+        );
+    }
+    // Every displaced group either moved or was deferred; a moved group's
+    // source copy holds no floor.
+    let mut accounted: Vec<_> = report.migrated.iter().chain(&report.deferred).collect();
+    accounted.sort();
+    assert!(accounted.into_iter().eq(before.keys()));
+    for g in &report.migrated {
+        let old = before[g];
+        let husk = cluster.arbiter(old.shard).token(old.local).unwrap().clone();
+        assert_eq!(husk.holder(), None, "{g} left a holder behind");
+    }
+    // With the traffic stopped every group is idle, so a second pass moves
+    // whatever the race deferred.
+    let second = cluster.rebalance_idle().unwrap();
+    assert_eq!(second.migrated, report.deferred);
+    assert!(second.deferred.is_empty());
+    cluster.check_invariants().unwrap();
 }
